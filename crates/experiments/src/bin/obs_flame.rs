@@ -26,7 +26,7 @@ use execmig_experiments::runner::Obs;
 use execmig_experiments::table2;
 use execmig_obs::model::sync::{AtomicBool, Ordering};
 use execmig_obs::model::thread;
-use execmig_obs::{render_wall_trace, wall, Wall, WallBudget};
+use execmig_obs::{render_wall_trace, wall, Budget, Wall};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -104,7 +104,7 @@ fn main() {
     }
     if !quiet {
         let o = snap.overhead;
-        let verdict = WallBudget::default().verdict(&o, run_ns);
+        let verdict = Budget::default().verdict(o.total_ns(), run_ns);
         eprintln!(
             "obs_flame: {} rows; {} spans ({} dropped), {} samples; \
              recorder cost {:.4} % of {:.1} ms run (budget {:.0} %): {}",

@@ -1,7 +1,7 @@
 //! Live telemetry demo and smoke target: runs a multi-worker Table 2
 //! sweep with the telemetry server up, prints the endpoints while the
 //! sweep is in flight, and self-checks the hub's overhead against the
-//! [`TelemetryBudget`](execmig_obs::TelemetryBudget) when it finishes.
+//! [`Budget`](execmig_obs::Budget) when it finishes.
 //!
 //! Usage: `obs_live [--instr N] [--threads N] [--addr HOST:PORT]
 //!                   [--poll-ms N] [--linger SECS] [--json]`
@@ -28,7 +28,7 @@ use execmig_experiments::table2;
 use execmig_experiments::telemetry::Telemetry;
 use execmig_obs::model::sync::{AtomicBool, Ordering};
 use execmig_obs::model::thread;
-use execmig_obs::{wall, Hub, Json, Registry, TelemetryBudget, Wall, WallBudget};
+use execmig_obs::{wall, Budget, Hub, Json, Registry, Wall};
 
 fn print_progress(hub: &Hub) {
     let snap = hub.snapshot();
@@ -100,9 +100,9 @@ fn main() {
     // Overhead self-accounting: the hub and the wall each measured
     // their own cost; hold both to the default 2 % budget.
     let overhead = hub.overhead();
-    let verdict = TelemetryBudget::default().verdict(&overhead, run_ns);
+    let verdict = Budget::default().verdict(overhead.total_ns(), run_ns);
     let wall_overhead = telemetry.wall().map(Wall::overhead).unwrap_or_default();
-    let wall_verdict = WallBudget::default().verdict(&wall_overhead, run_ns);
+    let wall_verdict = Budget::default().verdict(wall_overhead.total_ns(), run_ns);
     let mut registry = Registry::new();
     registry.counter("rows_done", rows.len() as u64);
     registry.counter("hub_beats", overhead.beats);

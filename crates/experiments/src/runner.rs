@@ -1,5 +1,5 @@
-//! Thread-parallel experiment execution, with span-timer telemetry,
-//! optional live-telemetry hub beats, and wall-clock flight-recorder
+//! Thread-parallel experiment execution, with per-task wall-clock
+//! spans, optional live-telemetry hub beats, and wall-clock flight-recorder
 //! spans.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -7,15 +7,15 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use execmig_obs::model::sync::Mutex;
 use execmig_obs::model::thread;
 use execmig_obs::wall::{self, families};
-use execmig_obs::{Beat, Hub, HubWorker, Json, Span, SpanSet, ToJson, Wall, WorkerState};
+use execmig_obs::{Beat, Hub, HubWorker, Json, Span, Stopwatch, ToJson, Wall, WorkerState};
 
 /// Wall-clock telemetry of one [`parallel_map_timed`] run: per-task
 /// spans (which thread ran what, when, for how long) and the derived
 /// per-thread utilisation.
 #[derive(Debug)]
 pub struct RunnerReport {
-    /// The recorded spans, one per task.
-    pub spans: SpanSet,
+    /// One span per task, ordered by start time.
+    pub spans: Vec<Span>,
     /// Worker threads used.
     pub threads: usize,
     /// Wall-clock µs from first task start to last task end.
@@ -23,21 +23,32 @@ pub struct RunnerReport {
 }
 
 impl RunnerReport {
-    /// Busy µs per worker thread.
+    /// Busy µs per worker thread index (0..=highest index that ran a
+    /// task).
     pub fn thread_busy_micros(&self) -> Vec<u64> {
-        self.spans.thread_busy_micros()
+        let threads = self.spans.iter().map(|s| s.thread + 1).max().unwrap_or(0);
+        let mut busy = vec![0u64; threads];
+        for s in &self.spans {
+            busy[s.thread] += s.duration_us;
+        }
+        busy
     }
 
-    /// Aggregate utilisation: total busy time / (threads × wall).
+    /// Aggregate utilisation: total busy time / (threads × wall); 0
+    /// when nothing ran.
     pub fn utilisation(&self) -> f64 {
-        self.spans.utilisation(self.threads, self.wall_us)
+        if self.threads == 0 || self.wall_us == 0 {
+            return 0.0;
+        }
+        let busy: u64 = self.spans.iter().map(|s| s.duration_us).sum();
+        busy as f64 / (self.threads as f64 * self.wall_us as f64)
     }
 
     /// One line per the report, for stderr diagnostics.
     pub fn summary(&self) -> String {
         format!(
             "{} tasks on {} threads in {:.1} ms, {:.0}% utilisation",
-            self.spans.spans().len(),
+            self.spans.len(),
             self.threads,
             self.wall_us as f64 / 1000.0,
             self.utilisation() * 100.0
@@ -52,7 +63,7 @@ impl ToJson for RunnerReport {
             .field("wall_us", self.wall_us)
             .field("utilisation", self.utilisation())
             .field("thread_busy_us", self.thread_busy_micros())
-            .field("spans", self.spans.spans())
+            .field("spans", &self.spans)
     }
 }
 
@@ -191,12 +202,12 @@ where
     // parents every task span across the worker threads.
     let sweep_root = wall::current_id();
     let n = items.len();
-    let spans = SpanSet::new();
+    let origin = Stopwatch::start();
     if n == 0 {
         return (
             Vec::new(),
             RunnerReport {
-                spans,
+                spans: Vec::new(),
                 threads,
                 wall_us: 0,
             },
@@ -214,7 +225,7 @@ where
         let workers: Vec<_> = (0..threads)
             .map(|w| {
                 let queue = &queue;
-                let spans = &spans;
+                let origin = &origin;
                 let panicked = &panicked;
                 let f = &f;
                 scope.spawn(move || {
@@ -262,7 +273,7 @@ where
                             }
                         }
                         drop(claim_span);
-                        let start_us = spans.wall_micros();
+                        let start_us = origin.elapsed_micros();
                         let ctx = hub_worker.as_ref().map(|worker| ObsCtx {
                             worker,
                             task: i as u64,
@@ -275,7 +286,7 @@ where
                         match outcome {
                             Ok(result) => {
                                 let _complete_span = wall::span(families::COMPLETE);
-                                let duration_us = spans.wall_micros().saturating_sub(start_us);
+                                let duration_us = origin.elapsed_micros().saturating_sub(start_us);
                                 results.push((i, result));
                                 timings.push((i, start_us, duration_us));
                                 tasks_done += 1;
@@ -328,14 +339,15 @@ where
         eprintln!("parallel_map: task {i} panicked, re-raising");
         resume_unwind(payload);
     }
-    let wall_us = spans.wall_micros();
+    let wall_us = origin.elapsed_micros();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut spans = Vec::with_capacity(n);
     for (worker, (worker_results, timings)) in per_worker.into_iter().enumerate() {
         for (i, result) in worker_results {
             results[i] = Some(result);
         }
         for (i, start_us, duration_us) in timings {
-            spans.record(Span {
+            spans.push(Span {
                 label: format!("task-{i}"),
                 thread: worker,
                 start_us,
@@ -343,6 +355,7 @@ where
             });
         }
     }
+    spans.sort_by_key(|s| s.start_us);
     let results = results
         .into_iter()
         .map(|r| r.expect("every task produced a result"))
@@ -404,7 +417,7 @@ mod tests {
         });
         assert_eq!(out.len(), 20);
         assert_eq!(out[7], 8);
-        let spans = report.spans.spans();
+        let spans = &report.spans;
         assert_eq!(spans.len(), 20, "one span per task");
         assert!(spans.iter().all(|s| s.thread < 4));
         assert!(report.wall_us > 0);
@@ -414,6 +427,44 @@ mod tests {
         // JSON export carries the spans.
         use execmig_obs::ToJson;
         assert!(report.to_json().get("spans").is_some());
+    }
+
+    #[test]
+    fn report_derives_busy_time_and_utilisation() {
+        let span = |thread, duration_us| Span {
+            label: format!("t{thread}"),
+            thread,
+            start_us: 10,
+            duration_us,
+        };
+        let report = RunnerReport {
+            spans: vec![span(2, 5), span(0, 15)],
+            threads: 4,
+            wall_us: 10,
+        };
+        assert_eq!(report.thread_busy_micros(), vec![15, 0, 5]);
+        assert_eq!(report.utilisation(), 20.0 / 40.0);
+        let idle = RunnerReport {
+            spans: Vec::new(),
+            threads: 4,
+            wall_us: 0,
+        };
+        assert!(idle.thread_busy_micros().is_empty());
+        assert_eq!(idle.utilisation(), 0.0);
+        let keys: Vec<String> = match report.to_json() {
+            Json::Obj(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("report is not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "threads",
+                "wall_us",
+                "utilisation",
+                "thread_busy_us",
+                "spans"
+            ]
+        );
     }
 
     #[test]
@@ -436,12 +487,7 @@ mod tests {
     #[test]
     fn spans_carry_task_labels() {
         let (_, report) = parallel_map_timed((0..6).collect(), 2, |x: u64| x);
-        let labels: Vec<String> = report
-            .spans
-            .spans()
-            .iter()
-            .map(|s| s.label.clone())
-            .collect();
+        let labels: Vec<String> = report.spans.iter().map(|s| s.label.clone()).collect();
         for i in 0..6 {
             assert!(labels.contains(&format!("task-{i}")), "missing task-{i}");
         }

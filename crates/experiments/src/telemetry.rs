@@ -29,7 +29,7 @@ use crate::runner::Obs;
 /// Default retired-instruction interval between mid-task beats
 /// (`Machine::run_observed` and the sweep loops): frequent enough that
 /// `/progress` moves visibly, rare enough that publishing stays deep
-/// under the [`execmig_obs::TelemetryBudget`] (a publish is ~100 ns; at
+/// under the [`execmig_obs::Budget`] (a publish is ~100 ns; at
 /// one per million instructions the hub costs well below 0.1 %).
 pub const BEAT_PERIOD_INSTR: u64 = 1_000_000;
 
@@ -186,8 +186,9 @@ impl Telemetry {
                 overhead.merge_ns
             );
             if Wall::ACTIVE {
-                let wall_overhead = self.wall.overhead();
-                let verdict = self.wall.budget_verdict();
+                let snapshot = self.wall.snapshot();
+                let wall_overhead = snapshot.overhead;
+                let verdict = snapshot.budget_verdict();
                 eprintln!(
                     "telemetry: wall {} spans ({} dropped), {} ns record + {} ns merge \
                      + {} ns sample = {:.4}% of uptime ({})",

@@ -11,8 +11,8 @@
 //! [`HubSnapshot`] that the serving edge ([`crate::serve`]) renders as
 //! `/progress` JSON and `/healthz` verdicts.
 //!
-//! **No mutex on the hot path.** A publish is a handful of relaxed
-//! atomic stores into the worker's own ring slot followed by one
+//! **No mutex on the hot path.** A beat is a 12-word record on the
+//! worker's own `spsc::SeqRing`: a handful of relaxed stores and one
 //! release store of the ring head; a full ring drops the beat (and
 //! counts the drop) rather than blocking. Only the aggregation side —
 //! never a worker — takes a lock.
@@ -24,10 +24,10 @@
 //!
 //! **Self-accounting.** The hub measures its own cost — beats
 //! published, bytes moved, nanoseconds inside publish and merge — and
-//! reports it as [`HubOverhead`]. A [`TelemetryBudget`] turns that into
-//! a pass/fail verdict against a configured fraction of run time, so
-//! "observability is cheap" stays a measured claim rather than an
-//! assumption as instrumentation grows.
+//! reports it as [`HubOverhead`]. A [`Budget`](crate::Budget) turns
+//! that into a pass/fail verdict against a configured fraction of run
+//! time, so "observability is cheap" stays a measured claim rather than
+//! an assumption as instrumentation grows.
 //!
 //! **Zero cost when off.** Like [`crate::Tracer`] and
 //! [`crate::Profiler`], the hub follows the `trace`-feature discipline:
@@ -38,7 +38,8 @@
 
 use crate::json::{Json, ToJson};
 
-/// `u64` words per encoded [`Beat`] in the ring.
+/// `u64` words per encoded [`Beat`] in the ring: nine payload words,
+/// the hub-clock stamp, one spare word and the ring's sequence stamp.
 pub const BEAT_WORDS: usize = 12;
 
 /// Default ring capacity (beats buffered per worker between merges).
@@ -99,8 +100,7 @@ impl ToJson for WorkerState {
 
 /// One progress heartbeat. Counter fields are cumulative from the
 /// worker's point of view (the merge keeps the newest beat, it does not
-/// sum them); `seq` and `wall_us` are stamped by
-/// [`HubWorker::publish`].
+/// sum them); [`HubWorker::publish`] stamps the hub-clock time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Beat {
     /// Worker state.
@@ -134,7 +134,7 @@ impl Beat {
     }
 
     #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    fn encode(&self, seq: u64, wall_us: u64) -> [u64; BEAT_WORDS] {
+    fn encode(&self, wall_us: u64) -> [u64; BEAT_WORDS] {
         [
             self.state.encode(),
             self.task,
@@ -145,14 +145,14 @@ impl Beat {
             self.f_value as u64,
             self.a_r as u64,
             self.bus_bytes,
-            seq,
             wall_us,
+            0,
             0,
         ]
     }
 
     #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    fn decode(words: &[u64; BEAT_WORDS]) -> (Beat, u64, u64) {
+    fn decode(words: &[u64; BEAT_WORDS]) -> (Beat, u64) {
         (
             Beat {
                 state: WorkerState::decode(words[0]),
@@ -166,7 +166,6 @@ impl Beat {
                 bus_bytes: words[8],
             },
             words[9],
-            words[10],
         )
     }
 }
@@ -303,59 +302,6 @@ impl HubOverhead {
     pub fn total_ns(&self) -> u64 {
         self.publish_ns.saturating_add(self.merge_ns)
     }
-
-    /// Observability time as a fraction of `run_ns` (0 when `run_ns`
-    /// is 0).
-    pub fn fraction_of(&self, run_ns: u64) -> f64 {
-        if run_ns == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / run_ns as f64
-        }
-    }
-}
-
-/// A cap on how much of a run observability may consume.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryBudget {
-    /// Maximum tolerated `overhead / run` time fraction.
-    pub max_fraction: f64,
-}
-
-impl Default for TelemetryBudget {
-    fn default() -> Self {
-        // The acceptance bar: observability under 2 % of run time.
-        TelemetryBudget { max_fraction: 0.02 }
-    }
-}
-
-/// A budget check outcome (never panics; callers decide severity).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetVerdict {
-    /// Measured overhead fraction of the run.
-    pub fraction: f64,
-    /// The configured cap.
-    pub max_fraction: f64,
-    /// `fraction <= max_fraction`.
-    pub within: bool,
-}
-
-crate::impl_to_json!(BudgetVerdict {
-    fraction,
-    max_fraction,
-    within
-});
-
-impl TelemetryBudget {
-    /// Checks `overhead` against a run of `run_ns` nanoseconds.
-    pub fn verdict(&self, overhead: &HubOverhead, run_ns: u64) -> BudgetVerdict {
-        let fraction = overhead.fraction_of(run_ns);
-        BudgetVerdict {
-            fraction,
-            max_fraction: self.max_fraction,
-            within: fraction <= self.max_fraction,
-        }
-    }
 }
 
 /// An epoch-stamped merged view of every worker.
@@ -435,43 +381,9 @@ impl ToJson for HealthReport {
 #[cfg(feature = "trace")]
 mod real {
     use super::*;
-    use crate::model::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
+    use crate::model::sync::{Arc, Mutex};
+    use crate::spsc::SeqRing;
     use std::time::Instant;
-
-    /// One worker's SPSC ring plus its producer-side counters.
-    struct WorkerSlot {
-        /// Next sequence number the producer will write (monotonic).
-        head: AtomicU64,
-        /// Next sequence number the consumer will read.
-        tail: AtomicU64,
-        /// Beats dropped on a full ring.
-        dropped: AtomicU64,
-        /// Beats accepted.
-        published: AtomicU64,
-        /// Producer nanoseconds inside `publish`.
-        publish_ns: AtomicU64,
-        /// Producer handle handed out already?
-        claimed: AtomicBool,
-        /// Fixed-size beat storage; slot `i` holds sequence numbers
-        /// `≡ i (mod capacity)`.
-        ring: Vec<[AtomicU64; BEAT_WORDS]>,
-    }
-
-    impl WorkerSlot {
-        fn new(capacity: usize) -> WorkerSlot {
-            WorkerSlot {
-                head: AtomicU64::new(0),
-                tail: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                published: AtomicU64::new(0),
-                publish_ns: AtomicU64::new(0),
-                claimed: AtomicBool::new(false),
-                ring: (0..capacity)
-                    .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                    .collect(),
-            }
-        }
-    }
 
     /// Aggregator-side merge state, guarded by one (cold-path) mutex.
     struct AggState {
@@ -484,7 +396,7 @@ mod real {
     struct HubInner {
         config: HubConfig,
         started: Instant,
-        slots: Vec<WorkerSlot>,
+        rings: Vec<SeqRing<BEAT_WORDS>>,
         agg: Mutex<AggState>,
     }
 
@@ -516,8 +428,8 @@ mod real {
         /// Panics if `ring_capacity < 2`.
         pub fn new(config: HubConfig) -> Hub {
             assert!(config.ring_capacity >= 2, "hub ring capacity must be ≥ 2");
-            let slots = (0..config.workers)
-                .map(|_| WorkerSlot::new(config.ring_capacity))
+            let rings = (0..config.workers)
+                .map(|_| SeqRing::new(config.ring_capacity))
                 .collect();
             let workers = (0..config.workers)
                 .map(|worker| WorkerProgress {
@@ -530,7 +442,7 @@ mod real {
                 inner: Arc::new(HubInner {
                     config,
                     started: Instant::now(),
-                    slots,
+                    rings,
                     agg: Mutex::new(AggState {
                         workers,
                         epoch: 0,
@@ -561,10 +473,7 @@ mod real {
         /// exactly one producer: the first claim wins, later claims
         /// (and out-of-range indices) get `None`.
         pub fn worker(&self, index: usize) -> Option<HubWorker> {
-            let slot = self.inner.slots.get(index)?;
-            // ord: AcqRel swap pairs claim attempts with each other so
-            // exactly one caller wins the slot.
-            if slot.claimed.swap(true, Ordering::AcqRel) {
+            if !self.inner.rings.get(index)?.claim() {
                 return None;
             }
             Some(HubWorker {
@@ -573,40 +482,23 @@ mod real {
             })
         }
 
+        fn agg_lock(&self) -> crate::model::sync::MutexGuard<'_, AggState> {
+            match self.inner.agg.lock() {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
+            }
+        }
+
         /// Drains every ring, merges newest beats into the retained
         /// per-worker rows, bumps the epoch, and returns the merged
         /// view. Aggregation is serialised internally (single-
         /// aggregator); workers never block on it.
         pub fn snapshot(&self) -> HubSnapshot {
             let t0 = Instant::now();
-            let mut agg = match self.inner.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for (slot, row) in self.inner.slots.iter().zip(agg.workers.iter_mut()) {
-                // SPSC drain: everything in [tail, head) is complete
-                // (the producer publishes head with Release after the
-                // slot words), and advancing tail with Release hands
-                // the slots back to the producer.
-                // ord: Acquire pairs with the producer's Release head
-                // store in publish(): everything below `head` is fully
-                // written before we read it.
-                let head = slot.head.load(Ordering::Acquire);
-                // ord: Relaxed — tail is consumer-owned (we are the only
-                // writer, under the agg mutex).
-                let tail = slot.tail.load(Ordering::Relaxed);
-                let cap = slot.ring.len() as u64;
-                let mut words = [0u64; BEAT_WORDS];
-                for seq in tail..head {
-                    let cell = &slot.ring[(seq % cap) as usize];
-                    for (w, c) in words.iter_mut().zip(cell.iter()) {
-                        // ord: Relaxed — covered by the Acquire head
-                        // load above (the producer wrote these before
-                        // its Release head bump).
-                        *w = c.load(Ordering::Relaxed);
-                    }
-                    let (beat, beat_seq, wall_us) = Beat::decode(&words);
-                    debug_assert_eq!(beat_seq, seq, "ring sequence mismatch");
+            let mut agg = self.agg_lock();
+            for (ring, row) in self.inner.rings.iter().zip(agg.workers.iter_mut()) {
+                row.beats += ring.drain(|words| {
+                    let (beat, wall_us) = Beat::decode(words);
                     row.state = beat.state;
                     row.task = beat.task;
                     row.tasks_done = beat.tasks_done;
@@ -617,17 +509,8 @@ mod real {
                     row.a_r = beat.a_r;
                     row.bus_bytes = beat.bus_bytes;
                     row.wall_us = wall_us;
-                    row.beats += 1;
-                }
-                if head != tail {
-                    // ord: Release pairs with the producer's Acquire
-                    // tail load in publish(): the cells are ours no
-                    // longer once tail advances.
-                    slot.tail.store(head, Ordering::Release);
-                }
-                // ord: Relaxed — a monotone counter read for display;
-                // exact only after the producer is joined.
-                row.dropped = slot.dropped.load(Ordering::Relaxed);
+                });
+                row.dropped = ring.dropped();
             }
             let now_us = self.now_us();
             for row in agg.workers.iter_mut() {
@@ -650,29 +533,16 @@ mod real {
 
         /// Hub self-accounting so far (without forcing a merge).
         pub fn overhead(&self) -> HubOverhead {
-            let agg = match self.inner.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            self.overhead_locked(&agg)
+            self.overhead_locked(&self.agg_lock())
         }
 
         fn overhead_locked(&self, agg: &AggState) -> HubOverhead {
-            let mut beats = 0u64;
-            let mut dropped = 0u64;
-            let mut publish_ns = 0u64;
-            for slot in &self.inner.slots {
-                // Monotone self-accounting counters: readers tolerate
-                // slight lag, exact once the producer thread is joined.
-                beats += slot.published.load(Ordering::Relaxed); // ord: monotone counter
-                dropped += slot.dropped.load(Ordering::Relaxed); // ord: monotone counter
-                publish_ns += slot.publish_ns.load(Ordering::Relaxed); // ord: monotone counter
-            }
+            let rings = SeqRing::totals(&self.inner.rings);
             HubOverhead {
-                beats,
-                dropped,
-                bytes: beats * (BEAT_WORDS as u64) * 8,
-                publish_ns,
+                beats: rings.accepted,
+                dropped: rings.dropped,
+                bytes: rings.bytes,
+                publish_ns: rings.billed_ns,
                 merges: agg.merges,
                 merge_ns: agg.merge_ns,
             }
@@ -713,61 +583,16 @@ mod real {
             self.index
         }
 
-        /// Publishes one beat: encode, write the ring slot with relaxed
-        /// stores, publish the head with one release store. A full ring
-        /// drops the beat and counts the drop — the hot path never
-        /// waits. Publish cost is self-measured into
-        /// [`HubOverhead::publish_ns`].
+        /// Publishes one beat, stamped with the hub clock, into this
+        /// worker's ring. A full ring drops the beat and counts the
+        /// drop — the hot path never waits. Publish cost is
+        /// self-measured into [`HubOverhead::publish_ns`].
         pub fn publish(&self, beat: Beat) {
             let t0 = Instant::now();
-            let slot = &self.inner.slots[self.index];
-            // ord: Relaxed — head is producer-owned; we are its only
-            // writer.
-            let head = slot.head.load(Ordering::Relaxed);
-            // ord: Acquire pairs with the consumer's Release tail store
-            // in snapshot(): once tail covers a cell, the consumer is
-            // done reading it and we may overwrite.
-            let tail = slot.tail.load(Ordering::Acquire);
-            let cap = slot.ring.len() as u64;
-            if head.wrapping_sub(tail) >= cap {
-                // ord: Relaxed — monotone drop counter, producer-owned.
-                slot.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let wall_us = self.inner.started.elapsed().as_micros() as u64;
-                let words = beat.encode(head, wall_us);
-                let cell = &slot.ring[(head % cap) as usize];
-                #[cfg(not(execmig_torn_slot))]
-                for (c, w) in cell.iter().zip(words) {
-                    // ord: Relaxed — the Release head store below
-                    // publishes these words.
-                    c.store(w, Ordering::Relaxed);
-                }
-                #[cfg(execmig_torn_slot)]
-                for (i, (c, w)) in cell.iter().zip(words).enumerate() {
-                    if i != 3 {
-                        // ord: Relaxed — deliberately torn mutation:
-                        // word 3 lands after the head bump below.
-                        c.store(w, Ordering::Relaxed);
-                    }
-                }
-                #[cfg(not(execmig_weak_head))]
-                // ord: Release publishes the slot words written above;
-                // pairs with the Acquire head load in snapshot().
-                slot.head.store(head + 1, Ordering::Release);
-                #[cfg(execmig_weak_head)]
-                // ord: Relaxed — deliberately broken mutation: without
-                // the release pairing, snapshot() may read torn slots.
-                slot.head.store(head + 1, Ordering::Relaxed);
-                #[cfg(execmig_torn_slot)]
-                // ord: Relaxed — deliberately broken mutation: the
-                // instructions word is published after the head bump.
-                cell[3].store(words[3], Ordering::Relaxed);
-                // ord: Relaxed — monotone self-accounting counter.
-                slot.published.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.publish_ns
-                // ord: Relaxed — monotone self-accounting counter.
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let ring = &self.inner.rings[self.index];
+            let wall_us = t0.duration_since(self.inner.started).as_micros() as u64;
+            ring.push(beat.encode(wall_us));
+            ring.bill(t0.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -877,11 +702,11 @@ mod tests {
     #[test]
     fn beat_roundtrips_through_words() {
         let b = beat(1234, WorkerState::Running);
-        let words = b.encode(42, 99);
-        let (back, seq, wall) = Beat::decode(&words);
+        let words = b.encode(99);
+        let (back, wall) = Beat::decode(&words);
         assert_eq!(back, b);
-        assert_eq!(seq, 42);
         assert_eq!(wall, 99);
+        assert_eq!(words[BEAT_WORDS - 1], 0, "the ring owns the last word");
         // Negative F/A_R survive the u64 transit.
         assert_eq!(back.f_value, -5);
     }
@@ -893,26 +718,6 @@ mod tests {
         }
         assert_eq!(WorkerState::decode(99), WorkerState::Idle);
         assert_eq!(WorkerState::Running.to_json().compact(), "\"running\"");
-    }
-
-    #[test]
-    fn budget_verdicts() {
-        let budget = TelemetryBudget::default();
-        let cheap = HubOverhead {
-            publish_ns: 1_000,
-            merge_ns: 1_000,
-            ..HubOverhead::default()
-        };
-        assert!(budget.verdict(&cheap, 1_000_000).within);
-        let dear = HubOverhead {
-            publish_ns: 500_000,
-            ..HubOverhead::default()
-        };
-        let v = budget.verdict(&dear, 1_000_000);
-        assert!(!v.within);
-        assert!((v.fraction - 0.5).abs() < 1e-12);
-        // Zero-length runs never fail the budget.
-        assert!(budget.verdict(&dear, 0).within);
     }
 
     #[test]

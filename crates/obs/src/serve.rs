@@ -13,7 +13,8 @@
 //! - `/spans` — the wall-clock flight recorder's
 //!   [`WallSnapshot`](crate::wall::WallSnapshot) as JSON: per-family
 //!   p50/p99/p999 latencies, sampled collapsed stacks, and the
-//!   [`WallBudget`](crate::wall::WallBudget) overhead verdict;
+//!   [`Budget`](crate::Budget) verdict computed from that same
+//!   snapshot;
 //! - `/healthz` — `200 {"status":"ok"}` while every running worker is
 //!   beating, `503 {"status":"stalled", …}` once a worker has missed
 //!   its beat budget ([`HubConfig::stall_beats`](crate::hub::HubConfig)).
@@ -36,7 +37,7 @@ use crate::http::{parse_request, response, HttpError};
 use crate::hub::Hub;
 use crate::json::{Json, ToJson};
 use crate::metrics::Registry;
-use crate::wall::Wall;
+use crate::wall::{Wall, WallSnapshot};
 
 /// Supplies the current metrics registry on each `/metrics` scrape.
 pub type MetricsProvider = Arc<dyn Fn() -> Registry + Send + Sync>;
@@ -328,12 +329,13 @@ fn route(
         }
         "/spans" => {
             // The snapshot merges every span ring (cold side only) and
-            // the budget verdict rates the wall's own cost against its
-            // uptime — "is tracing still cheap" in one scrape.
-            let body = wall
-                .snapshot()
+            // the budget verdict rates that snapshot's own overhead
+            // against its uptime — "is tracing still cheap" in one
+            // reading, so the two figures in the body always agree.
+            let snapshot = wall.snapshot();
+            let body = snapshot
                 .to_json()
-                .field("budget", wall.budget_verdict())
+                .field("budget", snapshot.budget_verdict())
                 .pretty();
             response(200, "application/json", &body, keep_alive)
         }
@@ -469,7 +471,10 @@ pub fn hub_prometheus(hub: &Hub) -> String {
 /// gauges plus `_count`/`_sum`, the exposition shape scrapers expect
 /// from a summary) and the wall's overhead self-accounting.
 pub fn wall_prometheus(wall: &Wall) -> String {
-    let snapshot = wall.snapshot();
+    wall_series(&wall.snapshot())
+}
+
+fn wall_series(snapshot: &WallSnapshot) -> String {
     let mut w = PromWriter::new();
     w.family(
         "execmig_span_latency_ns",
@@ -544,7 +549,77 @@ pub fn wall_prometheus(wall: &Wall) -> String {
     w.sample(
         "execmig_wall_overhead_fraction",
         &[],
-        wall.budget_verdict().fraction,
+        snapshot.budget_verdict().fraction,
     );
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wall::{families, WallOverhead};
+    use crate::Budget;
+
+    fn num(j: &Json, key: &str) -> u64 {
+        match j.get(key) {
+            Some(Json::UInt(v)) => *v,
+            other => panic!("{key}: not an unsigned number: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn spans_budget_agrees_with_the_served_snapshot() {
+        let wall = Wall::with_threads(1);
+        let t = wall.thread(0).expect("claim");
+        for _ in 0..3 {
+            let id = t.enter(families::RUN);
+            t.exit(id);
+        }
+        let _ = wall.sample_stacks();
+        let metrics: MetricsProvider = Arc::new(Registry::new);
+        let raw = route(
+            "GET",
+            "/spans",
+            &Hub::with_workers(0),
+            &wall,
+            &metrics,
+            false,
+        );
+        let raw = String::from_utf8(raw).expect("utf-8 response");
+        let (_, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+        let doc = crate::json::parse(body).expect("JSON body");
+        let o = doc.get("overhead").expect("overhead");
+        let total_ns = num(o, "record_ns") + num(o, "merge_ns") + num(o, "sample_ns");
+        let expected = Budget::default().verdict(total_ns, num(&doc, "uptime_ns"));
+        let budget = doc.get("budget").expect("budget");
+        assert_eq!(
+            budget.get("fraction"),
+            Some(&Json::Num(expected.fraction)),
+            "budget.fraction == overhead.total_ns / uptime_ns in one body: {body}"
+        );
+        assert_eq!(budget.get("within"), Some(&Json::Bool(expected.within)));
+    }
+
+    #[test]
+    fn overhead_gauge_is_the_snapshot_verdict() {
+        let snapshot = WallSnapshot {
+            uptime_ns: 3_000_000,
+            overhead: WallOverhead {
+                record_ns: 7_000,
+                merge_ns: 2_000,
+                sample_ns: 1_000,
+                ..WallOverhead::default()
+            },
+            ..WallSnapshot::default()
+        };
+        let text = wall_series(&snapshot);
+        let value: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("execmig_wall_overhead_fraction "))
+            .expect("overhead gauge sample")
+            .parse()
+            .expect("numeric sample");
+        assert_eq!(value, snapshot.budget_verdict().fraction);
+        assert_eq!(value, 10_000.0 / 3_000_000.0);
+    }
 }

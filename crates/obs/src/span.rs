@@ -1,14 +1,8 @@
-//! Span timers: wall-clock measurement of labelled work units.
-//!
-//! [`SpanSet`] collects spans concurrently from worker threads (used by
-//! `execmig-experiments::runner::parallel_map`) and summarises per-task
-//! durations and per-thread utilisation.
+//! Plain wall-clock timing: a [`Stopwatch`] and the [`Span`] record a
+//! parallel runner reports per task (`execmig-experiments::runner`).
+//! Causal, live-served spans are [`crate::wall`]'s job.
 
-use crate::model::sync::Mutex;
 use std::time::Instant;
-
-use crate::json::{Json, ToJson};
-use crate::metrics::Histogram;
 
 /// A started wall clock.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +42,7 @@ pub struct Span {
     pub label: String,
     /// Worker thread index that ran it.
     pub thread: usize,
-    /// Start offset from the set's origin, in µs.
+    /// Start offset from the run's origin, in µs.
     pub start_us: u64,
     /// Duration in µs.
     pub duration_us: u64,
@@ -60,164 +54,3 @@ crate::impl_to_json!(Span {
     start_us,
     duration_us
 });
-
-/// A thread-safe collection of spans sharing one time origin.
-#[derive(Debug)]
-pub struct SpanSet {
-    origin: Stopwatch,
-    spans: Mutex<Vec<Span>>,
-}
-
-impl SpanSet {
-    /// An empty set; the origin is *now*.
-    pub fn new() -> Self {
-        SpanSet {
-            origin: Stopwatch::start(),
-            spans: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Runs `f`, recording a span around it.
-    pub fn time<R>(&self, label: &str, thread: usize, f: impl FnOnce() -> R) -> R {
-        let start_us = self.origin.elapsed_micros();
-        let result = f();
-        let duration_us = self.origin.elapsed_micros().saturating_sub(start_us);
-        self.spans.lock().expect("span lock").push(Span {
-            label: label.to_string(),
-            thread,
-            start_us,
-            duration_us,
-        });
-        result
-    }
-
-    /// Adds an already-measured span. Workers that batch their timings
-    /// locally (e.g. the experiment runner) use this to merge them in
-    /// afterwards without taking the set's lock per task.
-    pub fn record(&self, span: Span) {
-        self.spans.lock().expect("span lock").push(span);
-    }
-
-    /// Wall-clock µs since the set was created.
-    pub fn wall_micros(&self) -> u64 {
-        self.origin.elapsed_micros()
-    }
-
-    /// The recorded spans, ordered by start time.
-    pub fn spans(&self) -> Vec<Span> {
-        let mut spans = self.spans.lock().expect("span lock").clone();
-        spans.sort_by_key(|s| s.start_us);
-        spans
-    }
-
-    /// Busy µs per thread index (0..=max thread seen).
-    pub fn thread_busy_micros(&self) -> Vec<u64> {
-        let spans = self.spans.lock().expect("span lock");
-        let threads = spans.iter().map(|s| s.thread + 1).max().unwrap_or(0);
-        let mut busy = vec![0u64; threads];
-        for s in spans.iter() {
-            busy[s.thread] += s.duration_us;
-        }
-        busy
-    }
-
-    /// Aggregate utilisation over `wall_us`: total busy time divided by
-    /// `threads × wall`. 0 when nothing ran.
-    pub fn utilisation(&self, threads: usize, wall_us: u64) -> f64 {
-        if threads == 0 || wall_us == 0 {
-            return 0.0;
-        }
-        let busy: u64 = self.thread_busy_micros().iter().sum();
-        busy as f64 / (threads as f64 * wall_us as f64)
-    }
-
-    /// Span durations as a log-2 histogram (µs).
-    pub fn duration_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for s in self.spans.lock().expect("span lock").iter() {
-            h.observe(s.duration_us);
-        }
-        h
-    }
-}
-
-impl Default for SpanSet {
-    fn default() -> Self {
-        SpanSet::new()
-    }
-}
-
-impl ToJson for SpanSet {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("wall_us", self.wall_micros())
-            .field("thread_busy_us", self.thread_busy_micros())
-            .field("spans", self.spans())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn records_spans_and_busy_time() {
-        let set = SpanSet::new();
-        let out = set.time("task-0", 0, || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            7
-        });
-        assert_eq!(out, 7);
-        set.time("task-1", 1, || ());
-        let spans = set.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].label, "task-0");
-        assert!(spans[0].duration_us >= 1_000, "slept 2ms: {spans:?}");
-        let busy = set.thread_busy_micros();
-        assert_eq!(busy.len(), 2);
-        assert!(busy[0] >= 1_000);
-        assert_eq!(set.duration_histogram().count(), 2);
-    }
-
-    #[test]
-    fn concurrent_recording() {
-        let set = SpanSet::new();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let set = &set;
-                scope.spawn(move || {
-                    for i in 0..10 {
-                        set.time(&format!("t{t}-{i}"), t, || ());
-                    }
-                });
-            }
-        });
-        assert_eq!(set.spans().len(), 40);
-        let u = set.utilisation(4, set.wall_micros().max(1));
-        assert!((0.0..=1.0).contains(&u), "utilisation {u}");
-    }
-
-    #[test]
-    fn record_merges_external_spans() {
-        let set = SpanSet::new();
-        set.record(Span {
-            label: "batched".to_string(),
-            thread: 2,
-            start_us: 10,
-            duration_us: 5,
-        });
-        let spans = set.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].label, "batched");
-        assert_eq!(set.thread_busy_micros(), vec![0, 0, 5]);
-    }
-
-    #[test]
-    fn empty_set() {
-        let set = SpanSet::new();
-        assert!(set.spans().is_empty());
-        assert!(set.thread_busy_micros().is_empty());
-        assert_eq!(set.utilisation(4, 100), 0.0);
-        assert_eq!(set.utilisation(0, 0), 0.0);
-    }
-}

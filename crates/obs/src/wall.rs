@@ -18,21 +18,19 @@
 //!   ([`crate::chrome::render_wall_trace`]) that can be merged with the
 //!   simulated-time profile for a dual-clock view.
 //!
-//! **Same discipline as the hub.** Spans are recorded into per-thread
-//! bounded SPSC rings: the producer writes the record words with
-//! relaxed stores and publishes them with one release store of the ring
-//! head; a full ring drops the span and counts the drop — the hot path
-//! never blocks. Only [`Wall::snapshot`] (cold side, mutex-guarded)
-//! drains rings into histograms and the retained-span list. All
-//! atomics go through [`crate::model`], so the same source
-//! model-checks under `--cfg execmig_model` (see `tests/model_wall.rs`
-//! and the `execmig_wall_weak_head` mutation gate).
+//! **Same transport as the hub.** A closed span is a 6-word record on
+//! its thread's `spsc::SeqRing`; a full ring drops the span and counts
+//! the drop — the hot path never blocks. Only [`Wall::snapshot`] (cold
+//! side, mutex-guarded) drains rings into histograms and the
+//! retained-span list. Beside each ring the wall keeps only the
+//! thread's live-stack words for the sampler. All atomics go through
+//! [`crate::model`], so the same source model-checks under
+//! `--cfg execmig_model` (see `tests/model_wall.rs`).
 //!
 //! **Self-accounting.** The wall measures its own cost — spans
 //! recorded, nanoseconds inside enter/exit, merge and sampling time —
-//! as [`WallOverhead`], and [`WallBudget`] turns that into a pass/fail
-//! verdict against a fraction of run time, exactly like
-//! [`TelemetryBudget`](crate::hub::TelemetryBudget).
+//! as [`WallOverhead`], and [`WallSnapshot::budget_verdict`] rates it
+//! against the wall's uptime with the shared [`Budget`].
 //!
 //! **Zero cost when off.** Without the `trace` feature [`Wall`],
 //! [`WallThread`], and [`ScopedSpan`] are zero-sized, every method is
@@ -43,7 +41,7 @@
 //! table, [`families::ALL`] is its exhaustive index, and raw string
 //! literals at span call sites are rejected by the linter.
 
-use crate::hub::BudgetVerdict;
+use crate::budget::{Budget, BudgetVerdict};
 use crate::json::{Json, ToJson};
 #[cfg(feature = "trace")]
 use crate::metrics::Histogram;
@@ -93,7 +91,7 @@ pub mod families {
 }
 
 /// `u64` words per encoded span record in the ring:
-/// `[id, parent, family index, start_ns, dur_ns, seq]`.
+/// `[id, parent, family index, start_ns, dur_ns, ring sequence stamp]`.
 pub const SPAN_WORDS: usize = 6;
 
 /// Default span-ring capacity (spans buffered per thread between
@@ -219,43 +217,6 @@ impl WallOverhead {
             .saturating_add(self.merge_ns)
             .saturating_add(self.sample_ns)
     }
-
-    /// Observability time as a fraction of `run_ns` (0 when `run_ns`
-    /// is 0).
-    pub fn fraction_of(&self, run_ns: u64) -> f64 {
-        if run_ns == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / run_ns as f64
-        }
-    }
-}
-
-/// A cap on how much of a run wall-clock tracing may consume, modeled
-/// on [`TelemetryBudget`](crate::hub::TelemetryBudget).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WallBudget {
-    /// Maximum tolerated `overhead / run` time fraction.
-    pub max_fraction: f64,
-}
-
-impl Default for WallBudget {
-    fn default() -> Self {
-        // Same acceptance bar as the hub: tracing under 2 % of run time.
-        WallBudget { max_fraction: 0.02 }
-    }
-}
-
-impl WallBudget {
-    /// Checks `overhead` against a run of `run_ns` nanoseconds.
-    pub fn verdict(&self, overhead: &WallOverhead, run_ns: u64) -> BudgetVerdict {
-        let fraction = overhead.fraction_of(run_ns);
-        BudgetVerdict {
-            fraction,
-            max_fraction: self.max_fraction,
-            within: fraction <= self.max_fraction,
-        }
-    }
 }
 
 /// An epoch-stamped merged view of every family and sampled stack.
@@ -282,6 +243,12 @@ impl WallSnapshot {
     /// Closed spans across all families.
     pub fn total_spans(&self) -> u64 {
         self.families.iter().map(|f| f.count).sum()
+    }
+
+    /// The shared [`Budget`] verdict for this snapshot's overhead
+    /// against its own uptime, so both figures come from one reading.
+    pub fn budget_verdict(&self) -> BudgetVerdict {
+        Budget::default().verdict(self.overhead.total_ns(), self.uptime_ns)
     }
 
     /// The collapsed-stack text block (`stack count` per line),
@@ -313,51 +280,19 @@ impl ToJson for WallSnapshot {
 #[cfg(feature = "trace")]
 mod real {
     use super::*;
-    use crate::model::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
+    use crate::model::sync::{Arc, AtomicU64, Mutex, Ordering};
+    use crate::spsc::SeqRing;
     use std::cell::{Cell, RefCell};
     use std::time::Instant;
 
-    /// One thread's SPSC span ring plus its producer-side counters and
-    /// the live span stack the flight recorder samples.
-    struct SpanSlot {
-        /// Next sequence number the producer will write (monotonic).
-        head: AtomicU64,
-        /// Next sequence number the consumer will read.
-        tail: AtomicU64,
-        /// Spans dropped on a full ring.
-        dropped: AtomicU64,
-        /// Spans accepted.
-        published: AtomicU64,
-        /// Producer nanoseconds inside enter/exit.
-        record_ns: AtomicU64,
-        /// Producer handle handed out already?
-        claimed: AtomicBool,
-        /// Live stack depth (may exceed `MAX_LIVE_DEPTH`; the sampler
-        /// caps its read).
-        live_depth: AtomicU64,
-        /// Live stack entries: family index + 1, outermost first.
-        live: [AtomicU64; MAX_LIVE_DEPTH],
-        /// Fixed-size record storage; slot `i` holds sequence numbers
-        /// `≡ i (mod capacity)`.
-        ring: Vec<[AtomicU64; SPAN_WORDS]>,
-    }
-
-    impl SpanSlot {
-        fn new(capacity: usize) -> SpanSlot {
-            SpanSlot {
-                head: AtomicU64::new(0),
-                tail: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                published: AtomicU64::new(0),
-                record_ns: AtomicU64::new(0),
-                claimed: AtomicBool::new(false),
-                live_depth: AtomicU64::new(0),
-                live: std::array::from_fn(|_| AtomicU64::new(0)),
-                ring: (0..capacity)
-                    .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                    .collect(),
-            }
-        }
+    /// One thread's live span stack, read by the flight-recorder
+    /// sampler.
+    struct LiveStack {
+        /// Stack depth (may exceed `MAX_LIVE_DEPTH`; the sampler caps
+        /// its read).
+        depth: AtomicU64,
+        /// Family index + 1 per frame, outermost first.
+        frames: [AtomicU64; MAX_LIVE_DEPTH],
     }
 
     /// Cold-side merge state, guarded by one mutex (never touched by
@@ -379,7 +314,10 @@ mod real {
     struct WallInner {
         started: Instant,
         retained_cap: usize,
-        slots: Vec<SpanSlot>,
+        /// One span ring per thread slot.
+        rings: Vec<SeqRing<SPAN_WORDS>>,
+        /// Parallel to `rings`.
+        stacks: Vec<LiveStack>,
         agg: Mutex<AggState>,
     }
 
@@ -394,7 +332,7 @@ mod real {
     impl std::fmt::Debug for Wall {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             f.debug_struct("Wall")
-                .field("threads", &self.inner.slots.len())
+                .field("threads", &self.inner.rings.len())
                 .finish()
         }
     }
@@ -415,7 +353,13 @@ mod real {
                 inner: Arc::new(WallInner {
                     started: Instant::now(),
                     retained_cap: DEFAULT_RETAINED_SPANS,
-                    slots: (0..threads).map(|_| SpanSlot::new(ring_capacity)).collect(),
+                    rings: (0..threads).map(|_| SeqRing::new(ring_capacity)).collect(),
+                    stacks: (0..threads)
+                        .map(|_| LiveStack {
+                            depth: AtomicU64::new(0),
+                            frames: std::array::from_fn(|_| AtomicU64::new(0)),
+                        })
+                        .collect(),
                     agg: Mutex::new(AggState {
                         epoch: 0,
                         hists: families::ALL.iter().map(|_| Histogram::new()).collect(),
@@ -439,7 +383,7 @@ mod real {
 
         /// Thread slots configured.
         pub fn threads(&self) -> usize {
-            self.inner.slots.len()
+            self.inner.rings.len()
         }
 
         /// ns since the wall was created (the clock spans are stamped
@@ -452,10 +396,7 @@ mod real {
         /// exactly one producer: the first claim wins, later claims
         /// (and out-of-range indices) get `None`.
         pub fn thread(&self, index: usize) -> Option<WallThread> {
-            let slot = self.inner.slots.get(index)?;
-            // ord: AcqRel swap pairs claim attempts with each other so
-            // exactly one caller wins the slot.
-            if slot.claimed.swap(true, Ordering::AcqRel) {
+            if !self.inner.rings.get(index)?.claim() {
                 return None;
             }
             Some(WallThread {
@@ -479,28 +420,9 @@ mod real {
         pub fn snapshot(&self) -> WallSnapshot {
             let t0 = Instant::now();
             let mut agg = self.agg_lock();
-            for (thread, slot) in self.inner.slots.iter().enumerate() {
-                // SPSC drain, same protocol as the hub: everything in
-                // [tail, head) is complete.
-                // ord: Acquire pairs with the producer's Release head
-                // store in exit(): everything below `head` is fully
-                // written before we read it.
-                let head = slot.head.load(Ordering::Acquire);
-                // ord: Relaxed — tail is consumer-owned (we are the
-                // only writer, under the agg mutex).
-                let tail = slot.tail.load(Ordering::Relaxed);
-                let cap = slot.ring.len() as u64;
-                let mut words = [0u64; SPAN_WORDS];
-                for seq in tail..head {
-                    let cell = &slot.ring[(seq % cap) as usize];
-                    for (w, c) in words.iter_mut().zip(cell.iter()) {
-                        // ord: Relaxed — covered by the Acquire head
-                        // load above (the producer wrote these before
-                        // its Release head bump).
-                        *w = c.load(Ordering::Relaxed);
-                    }
-                    let [id, parent, family, start_ns, dur_ns, rec_seq] = words;
-                    debug_assert_eq!(rec_seq, seq, "span ring sequence mismatch");
+            let agg = &mut *agg;
+            for (thread, ring) in self.inner.rings.iter().enumerate() {
+                ring.drain(|&[id, parent, family, start_ns, dur_ns, _]| {
                     let fi = family as usize;
                     debug_assert!(fi < families::ALL.len(), "unregistered family index");
                     debug_assert_ne!(id, 0, "span ids are nonzero");
@@ -526,13 +448,7 @@ mod real {
                     } else {
                         agg.retained_dropped += 1;
                     }
-                }
-                if head != tail {
-                    // ord: Release pairs with the producer's Acquire
-                    // tail load in exit(): the cells are ours no longer
-                    // once tail advances.
-                    slot.tail.store(head, Ordering::Release);
-                }
+                });
             }
             agg.epoch += 1;
             agg.merges += 1;
@@ -562,7 +478,7 @@ mod real {
                         count: *count,
                     })
                     .collect(),
-                overhead: self.overhead_locked(&agg),
+                overhead: self.overhead_locked(agg),
             }
         }
 
@@ -575,17 +491,17 @@ mod real {
             let t0 = Instant::now();
             let mut seen = 0usize;
             let mut agg = self.agg_lock();
-            for slot in &self.inner.slots {
+            for live in &self.inner.stacks {
                 // ord: Acquire pairs with the producer's Release depth
                 // store in enter(): frames below `depth` were published
                 // before the depth became visible.
-                let depth = slot.live_depth.load(Ordering::Acquire) as usize;
+                let depth = live.depth.load(Ordering::Acquire) as usize;
                 let depth = depth.min(MAX_LIVE_DEPTH);
                 if depth == 0 {
                     continue;
                 }
                 let mut stack = String::new();
-                for entry in slot.live.iter().take(depth) {
+                for entry in live.frames.iter().take(depth) {
                     // ord: Relaxed — covered by the Acquire depth load;
                     // a racing re-push can make this momentarily stale,
                     // which sampling tolerates.
@@ -612,38 +528,22 @@ mod real {
 
         /// Wall self-accounting so far (without forcing a merge).
         pub fn overhead(&self) -> WallOverhead {
-            let agg = self.agg_lock();
-            self.overhead_locked(&agg)
+            self.overhead_locked(&self.agg_lock())
         }
 
         fn overhead_locked(&self, agg: &AggState) -> WallOverhead {
-            let mut spans = 0u64;
-            let mut dropped = 0u64;
-            let mut record_ns = 0u64;
-            for slot in &self.inner.slots {
-                // Monotone self-accounting counters: readers tolerate
-                // slight lag, exact once the producer thread is joined.
-                spans += slot.published.load(Ordering::Relaxed); // ord: monotone counter
-                dropped += slot.dropped.load(Ordering::Relaxed); // ord: monotone counter
-                record_ns += slot.record_ns.load(Ordering::Relaxed); // ord: monotone counter
-            }
+            let rings = SeqRing::totals(&self.inner.rings);
             WallOverhead {
-                spans,
-                dropped,
+                spans: rings.accepted,
+                dropped: rings.dropped,
                 retained_dropped: agg.retained_dropped,
-                bytes: spans * (SPAN_WORDS as u64) * 8,
-                record_ns,
+                bytes: rings.bytes,
+                record_ns: rings.billed_ns,
                 merges: agg.merges,
                 merge_ns: agg.merge_ns,
                 samples: agg.samples,
                 sample_ns: agg.sample_ns,
             }
-        }
-
-        /// The default [`WallBudget`] verdict against the wall's own
-        /// uptime — the serving edge's "is tracing still cheap" answer.
-        pub fn budget_verdict(&self) -> BudgetVerdict {
-            WallBudget::default().verdict(&self.overhead(), self.now_ns())
         }
 
         /// The retained closed spans (for Chrome export). Forces a
@@ -701,7 +601,7 @@ mod real {
             let Some(fi) = families::index_of(family) else {
                 return 0;
             };
-            let slot = &self.inner.slots[self.index];
+            let live = &self.inner.stacks[self.index];
             let id = self.next_id.get() + 1;
             self.next_id.set(id);
             // Thread index in the high 16 bits keeps ids globally
@@ -717,22 +617,19 @@ mod real {
             if depth < MAX_LIVE_DEPTH {
                 // ord: Relaxed — the Release depth store below
                 // publishes this entry to the sampler.
-                slot.live[depth].store(fi as u64 + 1, Ordering::Relaxed);
+                live.frames[depth].store(fi as u64 + 1, Ordering::Relaxed);
             }
             // ord: Release pairs with the sampler's Acquire depth load
             // in sample_stacks(): the entry above is visible before the
             // deeper stack is.
-            slot.live_depth.store(depth as u64 + 1, Ordering::Release);
-            slot.record_ns
-                // ord: Relaxed — monotone self-accounting counter.
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            live.depth.store(depth as u64 + 1, Ordering::Release);
+            self.inner.rings[self.index].bill(t0.elapsed().as_nanos() as u64);
             id
         }
 
-        /// Closes the innermost open span and records it: write the
-        /// ring record with relaxed stores, publish the head with one
-        /// release store. A full ring drops the record and counts the
-        /// drop — the hot path never waits.
+        /// Closes the innermost open span and pushes its record into
+        /// this thread's ring. A full ring drops the record and counts
+        /// the drop — the hot path never waits.
         ///
         /// `id` is the value [`enter`](Self::enter) returned; a
         /// mismatch (unbalanced guards) still closes the innermost
@@ -746,48 +643,12 @@ mod real {
                 return;
             };
             debug_assert_eq!(span_id, id, "span guards must close LIFO");
-            let slot = &self.inner.slots[self.index];
-            let depth = self.stack.borrow().len() as u64;
-            // ord: Release — frames at or above the new depth are dead
-            // to the sampler once it loads this depth.
-            slot.live_depth.store(depth, Ordering::Release);
+            self.publish_depth();
             let end_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
             let dur_ns = end_ns.saturating_sub(start_ns);
-            // ord: Relaxed — head is producer-owned; we are its only
-            // writer.
-            let head = slot.head.load(Ordering::Relaxed);
-            // ord: Acquire pairs with the consumer's Release tail store
-            // in snapshot(): once tail covers a cell, the consumer is
-            // done reading it and we may overwrite.
-            let tail = slot.tail.load(Ordering::Acquire);
-            let cap = slot.ring.len() as u64;
-            if head.wrapping_sub(tail) >= cap {
-                // ord: Relaxed — monotone drop counter, producer-owned.
-                slot.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let words = [span_id, parent, fi, start_ns, dur_ns, head];
-                let cell = &slot.ring[(head % cap) as usize];
-                for (c, w) in cell.iter().zip(words) {
-                    // ord: Relaxed — the Release head store below
-                    // publishes these words.
-                    c.store(w, Ordering::Relaxed);
-                }
-                #[cfg(not(execmig_wall_weak_head))]
-                // ord: Release publishes the record words written
-                // above; pairs with the Acquire head load in
-                // snapshot().
-                slot.head.store(head + 1, Ordering::Release);
-                #[cfg(execmig_wall_weak_head)]
-                // ord: Relaxed — deliberately broken mutation: without
-                // the release pairing, snapshot() may read torn
-                // records. The model gate must detect this.
-                slot.head.store(head + 1, Ordering::Relaxed);
-                // ord: Relaxed — monotone self-accounting counter.
-                slot.published.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.record_ns
-                // ord: Relaxed — monotone self-accounting counter.
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let ring = &self.inner.rings[self.index];
+            ring.push([span_id, parent, fi, start_ns, dur_ns, 0]);
+            ring.bill(t0.elapsed().as_nanos() as u64);
         }
 
         /// Discards the innermost open span without recording it (used
@@ -802,10 +663,16 @@ mod real {
                 popped.is_none_or(|f| f.0 == id),
                 "span guards must close LIFO"
             );
+            self.publish_depth();
+        }
+
+        /// Shrinks the sampled live stack to the open-frame count.
+        fn publish_depth(&self) {
             let depth = self.stack.borrow().len() as u64;
-            let slot = &self.inner.slots[self.index];
-            // ord: Release — same sampler pairing as exit().
-            slot.live_depth.store(depth, Ordering::Release);
+            let live = &self.inner.stacks[self.index];
+            // ord: Release — frames at or above the new depth are dead
+            // to the sampler once it loads this depth.
+            live.depth.store(depth, Ordering::Release);
         }
     }
 }
@@ -870,12 +737,6 @@ impl Wall {
     #[inline(always)]
     pub fn overhead(&self) -> WallOverhead {
         WallOverhead::default()
-    }
-
-    /// Always within budget (nothing is measured).
-    #[inline(always)]
-    pub fn budget_verdict(&self) -> BudgetVerdict {
-        WallBudget::default().verdict(&WallOverhead::default(), 0)
     }
 
     /// Always empty.
@@ -1099,25 +960,23 @@ mod tests {
     }
 
     #[test]
-    fn budget_verdicts() {
-        let budget = WallBudget::default();
-        let cheap = WallOverhead {
-            record_ns: 1_000,
-            merge_ns: 500,
-            sample_ns: 500,
-            ..WallOverhead::default()
+    fn snapshot_verdict_rates_its_own_overhead() {
+        let snap = WallSnapshot {
+            uptime_ns: 1_000_000,
+            overhead: WallOverhead {
+                record_ns: 1_000,
+                merge_ns: 500,
+                sample_ns: 500,
+                ..WallOverhead::default()
+            },
+            ..WallSnapshot::default()
         };
-        assert!(budget.verdict(&cheap, 1_000_000).within);
-        assert_eq!(cheap.total_ns(), 2_000);
-        let dear = WallOverhead {
-            record_ns: 500_000,
-            ..WallOverhead::default()
-        };
-        let v = budget.verdict(&dear, 1_000_000);
-        assert!(!v.within);
-        assert!((v.fraction - 0.5).abs() < 1e-12);
-        // Zero-length runs never fail the budget.
-        assert!(budget.verdict(&dear, 0).within);
+        assert_eq!(snap.overhead.total_ns(), 2_000);
+        let v = snap.budget_verdict();
+        assert_eq!(v, Budget::default().verdict(2_000, 1_000_000));
+        assert!(v.within);
+        // An empty snapshot (uptime 0) never fails the budget.
+        assert!(WallSnapshot::default().budget_verdict().within);
     }
 
     #[test]
@@ -1163,7 +1022,7 @@ mod tests {
             assert_eq!(snap.families.len(), 0);
             assert_eq!(snap.epoch, 0);
             assert_eq!(wall.overhead(), WallOverhead::default());
-            assert!(wall.budget_verdict().within);
+            assert!(snap.budget_verdict().within);
             assert_eq!(std::mem::size_of::<Wall>(), 0);
             assert_eq!(std::mem::size_of::<WallThread>(), 0);
             assert_eq!(std::mem::size_of::<ScopedSpan>(), 0);

@@ -1,18 +1,21 @@
-//! Interleaving model checks for the hub's lock-free SPSC beat rings.
+//! Interleaving model check for the hub's instantiation of the shared
+//! SPSC ring: beats encoded over `SeqRing` and merged newest-wins.
+//! The ring protocol itself (untorn drains, drop conservation,
+//! exclusive claim) is checked in `model_ring.rs`.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg execmig_model"` (plus the
 //! `trace` feature): the shim in `execmig_obs::model` then routes every
-//! atomic through `execmig_model`'s bounded-DFS scheduler, so these
-//! tests assert ring invariants across *every* bounded interleaving and
-//! every stale value the memory model permits — not just the schedules
-//! one lucky run happens to hit.
+//! atomic through `execmig_model`'s bounded-DFS scheduler, so the test
+//! holds across *every* bounded interleaving and every stale value the
+//! memory model permits — not just the schedules one lucky run happens
+//! to hit.
 //!
-//! The same file is the mutation gate: built with
+//! The same file is a mutation gate: built with
 //! `--cfg execmig_weak_head` (the ring's Release head bump weakened to
-//! Relaxed) or `--cfg execmig_torn_slot` (one slot word stored after
+//! Relaxed) or `--cfg execmig_torn_slot` (one record word stored after
 //! the head bump), [`spsc_publish_snapshot_protocol`] must *fail* to
 //! find a clean exploration — the checker has to produce a torn or
-//! stale read. CI runs all three configurations.
+//! stale beat. CI runs all three configurations.
 
 #![cfg(all(execmig_model, feature = "trace"))]
 
@@ -118,47 +121,4 @@ fn spsc_publish_snapshot_protocol() {
         );
         eprintln!("mutation detected, as required:\n{v}");
     }
-}
-
-/// Worker-slot claiming is exclusive under every interleaving: two
-/// racing claimants, exactly one wins.
-#[cfg(not(any(execmig_weak_head, execmig_torn_slot)))]
-#[test]
-fn worker_claim_is_exclusive() {
-    execmig_model::explore(|| {
-        let hub = small_hub();
-        let rival_hub = hub.clone();
-        let rival = thread::spawn(move || rival_hub.worker(0).is_some());
-        let mine = hub.worker(0).is_some();
-        let theirs = rival.join().expect("rival");
-        assert!(
-            mine ^ theirs,
-            "exactly one claimant may win slot 0 (mine={mine}, theirs={theirs})"
-        );
-    });
-}
-
-/// Drop accounting is exact when publisher and merger are sequenced:
-/// four publishes into a capacity-2 ring with no intervening drain is
-/// exactly two accepted and two counted drops. (Single-threaded, so it
-/// holds under the mutation cfgs too — coherence forces a thread to
-/// see its own stores.)
-#[test]
-fn full_ring_drops_exactly_counted() {
-    execmig_model::explore(|| {
-        let hub = small_hub();
-        let w = hub.worker(0).expect("claim");
-        for i in 1..=4 {
-            w.publish(beat(i * 10));
-        }
-        let snap = hub.snapshot();
-        let row = &snap.workers[0];
-        assert_eq!(snap.overhead.beats, 2, "capacity-2 ring accepts two");
-        assert_eq!(snap.overhead.dropped, 2, "and counts the other two");
-        assert_eq!(row.instructions, 20, "newest accepted beat");
-        // HubOverhead conservation: accepted + dropped == attempts,
-        // and bytes ride only on accepted beats.
-        assert_eq!(snap.overhead.beats + snap.overhead.dropped, 4);
-        assert_eq!(snap.overhead.bytes, snap.overhead.beats * 12 * 8);
-    });
 }

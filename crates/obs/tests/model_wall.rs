@@ -1,21 +1,23 @@
-//! Interleaving model checks for the wall flight recorder's span SPSC
-//! rings.
+//! Interleaving model check for the wall flight recorder's
+//! instantiation of the shared SPSC ring: span records encoded over
+//! `SeqRing` and drained into per-family histograms. The ring protocol
+//! itself (untorn drains, drop conservation, exclusive claim) is
+//! checked in `model_ring.rs`.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg execmig_model"` (plus the
 //! `trace` feature): the shim in `execmig_obs::model` routes the wall's
-//! atomics through `execmig_model`'s bounded-DFS scheduler, so these
-//! tests assert the ring protocol — untorn records, exact drop
-//! accounting, exclusive slot claims — across *every* bounded
-//! interleaving, not just lucky schedules. Span *durations* are real
-//! `Instant` time and therefore nondeterministic under the checker;
-//! only structural invariants are asserted.
+//! atomics through `execmig_model`'s bounded-DFS scheduler, so the test
+//! holds across *every* bounded interleaving, not just lucky schedules.
+//! Span *durations* are real `Instant` time and therefore
+//! nondeterministic under the checker; only structural invariants are
+//! asserted.
 //!
-//! The same file is the mutation gate: built with
-//! `--cfg execmig_wall_weak_head` (the producer's Release head bump in
-//! `exit()` weakened to Relaxed), [`span_ring_publish_snapshot_protocol`]
-//! must *fail* to find a clean exploration — the drain's sequence and
-//! family debug-asserts have to catch a torn or stale record. CI runs
-//! both configurations.
+//! The same file is a mutation gate: built with
+//! `--cfg execmig_weak_head` (the ring's Release head bump weakened to
+//! Relaxed), [`span_ring_publish_snapshot_protocol`] must *fail* to
+//! find a clean exploration — the drain's sequence-stamp and
+//! family/id debug-asserts have to catch a torn or stale record. CI
+//! runs both configurations.
 
 #![cfg(all(execmig_model, feature = "trace"))]
 
@@ -47,7 +49,7 @@ fn assert_untorn(snap: &WallSnapshot) -> u64 {
 /// family / nonzero-id debug-asserts, epochs are monotone, and after
 /// the join published + dropped conserves the exit count exactly, with
 /// the histograms holding precisely the accepted records. Mutated
-/// ordering (`execmig_wall_weak_head`): the exploration MUST detect a
+/// ordering (`execmig_weak_head`): the exploration MUST detect a
 /// violation.
 #[test]
 fn span_ring_publish_snapshot_protocol() {
@@ -87,7 +89,7 @@ fn span_ring_publish_snapshot_protocol() {
         assert!(fin.epoch >= 3);
     });
 
-    #[cfg(not(execmig_wall_weak_head))]
+    #[cfg(not(execmig_weak_head))]
     {
         let report = result.expect("correct orderings: no violation in any bounded interleaving");
         assert!(
@@ -95,7 +97,7 @@ fn span_ring_publish_snapshot_protocol() {
             "the exploration must actually branch"
         );
     }
-    #[cfg(execmig_wall_weak_head)]
+    #[cfg(execmig_weak_head)]
     {
         let v = result.expect_err(
             "mutation gate: a Relaxed head bump must surface as a torn or stale \
@@ -103,50 +105,4 @@ fn span_ring_publish_snapshot_protocol() {
         );
         eprintln!("mutation detected, as required:\n{v}");
     }
-}
-
-/// Thread-slot claiming is exclusive under every interleaving: two
-/// racing claimants, exactly one wins (the ring stays SPSC).
-#[cfg(not(execmig_wall_weak_head))]
-#[test]
-fn wall_slot_claim_is_exclusive() {
-    execmig_model::explore(|| {
-        let wall = Wall::new(1, 2);
-        let rival_wall = wall.clone();
-        let rival = thread::spawn(move || rival_wall.thread(0).is_some());
-        let mine = wall.thread(0).is_some();
-        let theirs = rival.join().expect("rival");
-        assert!(
-            mine ^ theirs,
-            "exactly one claimant may win slot 0 (mine={mine}, theirs={theirs})"
-        );
-    });
-}
-
-/// Drop accounting is exact when producer and drain are sequenced:
-/// four closed spans into a capacity-2 ring with no intervening drain
-/// is exactly two accepted and two counted drops. (Single-threaded, so
-/// it holds under the mutation cfg too — coherence forces a thread to
-/// see its own stores.)
-#[test]
-fn full_span_ring_drops_exactly_counted() {
-    execmig_model::explore(|| {
-        let wall = Wall::new(1, 2);
-        let t = wall.thread(0).expect("claim");
-        for _ in 0..4 {
-            let id = t.enter(families::RUN);
-            t.exit(id);
-        }
-        let snap = wall.snapshot();
-        let o = &snap.overhead;
-        assert_eq!(o.spans, 2, "capacity-2 ring accepts two");
-        assert_eq!(o.dropped, 2, "and counts the other two");
-        assert_eq!(o.spans + o.dropped, 4, "exit conservation");
-        assert_eq!(snap.total_spans(), 2, "histograms hold the accepted spans");
-        assert_eq!(
-            snap.family(families::RUN).map(|f| f.count),
-            Some(2),
-            "both accepted spans aggregate under their family"
-        );
-    });
 }

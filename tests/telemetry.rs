@@ -1,9 +1,9 @@
 //! Acceptance tests for the live-telemetry subsystem: a 4-worker sweep
 //! served over real TCP must report per-worker progress while running,
 //! the hub's self-accounted overhead must stay inside the
-//! [`TelemetryBudget`] (2 % of run time), the wall-clock flight
-//! recorder must serve live per-family span latencies on `/spans`
-//! within its own [`WallBudget`], and — the hard promise —
+//! [`Budget`] (2 % of run time), the wall-clock flight recorder must
+//! serve live per-family span latencies on `/spans` within the same
+//! [`Budget`], and — the hard promise —
 //! `MachineStats` must be bit-identical with telemetry on and off.
 //!
 //! The HTTP client here is hand-rolled on `TcpStream`, matching the
@@ -21,7 +21,7 @@ use execution_migration::experiments::runner::parallel_map_observed;
 use execution_migration::experiments::telemetry::{Telemetry, BEAT_PERIOD_INSTR};
 use execution_migration::machine::{Machine, MachineConfig};
 use execution_migration::obs::wall::{self, families};
-use execution_migration::obs::{json, Hub, HubConfig, Json, TelemetryBudget, Wall, WallBudget};
+use execution_migration::obs::{json, Budget, Hub, HubConfig, Json, Wall};
 use execution_migration::trace::suite;
 
 /// One blocking `GET path` against the telemetry server; returns
@@ -207,7 +207,7 @@ fn four_worker_sweep_serves_live_progress() {
         );
         let overhead = hub.overhead();
         assert!(overhead.beats > 0, "the sweep published beats");
-        let verdict = TelemetryBudget::default().verdict(&overhead, run_ns);
+        let verdict = Budget::default().verdict(overhead.total_ns(), run_ns);
         assert!(
             verdict.within,
             "telemetry overhead {:.4} % exceeds the {:.0} % budget",
@@ -233,7 +233,7 @@ fn four_worker_sweep_serves_live_progress() {
             Some(names.len() as u64),
             "one task span per sweep item"
         );
-        let wall_verdict = WallBudget::default().verdict(&recorder.overhead(), run_ns);
+        let wall_verdict = Budget::default().verdict(recorder.overhead().total_ns(), run_ns);
         assert!(
             wall_verdict.within,
             "wall overhead {:.4} % exceeds the {:.0} % budget",
