@@ -6,12 +6,12 @@
 //!
 //! - copying the update-bus counters per event (`… = bus.stats()`),
 //!   which re-materialises the whole mirror struct on every access
-//!   instead of once per flush point (block end, profiler sample,
-//!   miss path);
+//!   instead of once per flush point (block end, profiler sample);
 //! - probing the profiler per event without the compile-time gate
 //!   (`.sample_due(…)` not behind `Profiler::ACTIVE &&`), which keeps
-//!   a live branch in the lean loop that default builds are supposed
-//!   to fold to `false` and hoist to the block boundary.
+//!   a live branch in the replay loop that default builds are
+//!   supposed to fold to `false`. The machine itself no longer probes
+//!   per event at all: it cuts blocks at `Profiler::next_due()`.
 //!
 //! Both are flagged only *inside* `for`/`while`/`loop` bodies. Tests
 //! and `#[cfg(feature = …)]` items are exempt (a test may replay

@@ -155,7 +155,10 @@ impl RefMachine {
     }
 
     /// Runs `workload` until at least `instructions` dynamic
-    /// instructions have retired (same loop as `Machine::run`).
+    /// instructions have retired, one [`step_tagged`](Self::step_tagged)
+    /// per access. Same budget semantics as `Machine::run`, but not the
+    /// same loop: `Machine::run` fills and replays blocks of events,
+    /// while the reference stays per-step on purpose.
     pub fn run<W: Workload + ?Sized>(&mut self, workload: &mut W, instructions: u64) {
         while workload.instructions() < instructions {
             let access = workload.next_access();
