@@ -425,6 +425,25 @@ mod tests {
     }
 
     #[test]
+    fn two_way_controller_ignores_the_sampler() {
+        // 2-way splitting has always sampled every line, whatever
+        // `sampler` says (as does the oracle's `RefSplitter2`).
+        let run = |sampler| {
+            let mut mc = MigrationController::new(ControllerConfig {
+                ways: SplitWays::Two,
+                sampler,
+                ..ControllerConfig::paper_4core()
+            });
+            let cores: Vec<usize> = (0..200_000u64)
+                .map(|t| mc.on_request(t % 6000, t % 3 == 0))
+                .collect();
+            assert!(mc.stats().migrations > 0, "stream must migrate");
+            cores
+        };
+        assert_eq!(run(Sampler::quarter()), run(Sampler::full()));
+    }
+
+    #[test]
     fn l2_filtering_blocks_migrations_without_l2_misses() {
         let mut mc = MigrationController::new(ControllerConfig::paper_4core());
         for t in 0..100_000u64 {

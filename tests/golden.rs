@@ -4,7 +4,9 @@
 //! loudly. If a change is *intended* (e.g. retuning a workload), update
 //! the constants and note it in CHANGELOG.md.
 
-use execution_migration::core::{Splitter2, SplitterConfig};
+use execution_migration::core::{
+    ControllerConfig, MigrationController, SplitWays, Splitter2, SplitterConfig,
+};
 use execution_migration::machine::{Machine, MachineConfig, Protocol};
 use execution_migration::trace::{suite, Workload};
 
@@ -38,6 +40,37 @@ fn golden_art_migration() {
 fn golden_mcf_migration() {
     let (_, l2, mig, _) = run("mcf", MachineConfig::four_core_migration(), 2_000_000);
     assert_eq!((l2, mig), (476485, 584));
+}
+
+/// The `ext_cores` machine for a split degree: the paper's controller
+/// with `ways` substituted, one core per subset.
+fn ext_cores_machine(ways: SplitWays) -> MachineConfig {
+    MachineConfig {
+        cores: ways.count(),
+        controller: Some(ControllerConfig {
+            ways,
+            ..ControllerConfig::paper_4core()
+        }),
+        ..MachineConfig::single_core()
+    }
+}
+
+#[test]
+fn golden_ext_cores_two_way() {
+    let (dl1, l2, mig, _) = run("art", ext_cores_machine(SplitWays::Two), 2_000_000);
+    assert_eq!(dl1, 227453);
+    assert_eq!((l2, mig), (199796, 1));
+    let (_, l2, mig, _) = run("mcf", ext_cores_machine(SplitWays::Two), 2_000_000);
+    assert_eq!((l2, mig), (579063, 1));
+}
+
+#[test]
+fn golden_ext_cores_eight_way() {
+    let (dl1, l2, mig, _) = run("art", ext_cores_machine(SplitWays::Eight), 2_000_000);
+    assert_eq!(dl1, 227453);
+    assert_eq!((l2, mig), (147546, 37));
+    let (_, l2, mig, _) = run("mcf", ext_cores_machine(SplitWays::Eight), 2_000_000);
+    assert_eq!((l2, mig), (519767, 423));
 }
 
 #[test]
@@ -102,6 +135,38 @@ fn golden_splitter_circular() {
     let st = s.stats();
     assert_eq!(st.references, 500_000);
     assert_eq!(st.transitions, 249);
+}
+
+#[test]
+fn golden_stack_profile_controller_circular() {
+    // The Fig 4/5 controller shape (4-way, unbounded table, every line
+    // sampled, no L2 filtering) over `golden_splitter_circular`'s stream.
+    let mut mc = MigrationController::new(ControllerConfig::paper_stack_profile());
+    for t in 0..500_000u64 {
+        mc.on_request(t % 4000, false);
+    }
+    assert_eq!(mc.stats().migrations, 840);
+    assert_eq!(mc.splitter_stats().transitions, 840);
+    // The same shape split two ways.
+    let mut mc = MigrationController::new(ControllerConfig {
+        ways: SplitWays::Two,
+        ..ControllerConfig::paper_stack_profile()
+    });
+    for t in 0..500_000u64 {
+        mc.on_request(t % 4000, false);
+    }
+    assert_eq!(mc.stats().migrations, 247);
+    assert_eq!(mc.splitter_stats().transitions, 247);
+    // ... and eight ways.
+    let mut mc = MigrationController::new(ControllerConfig {
+        ways: SplitWays::Eight,
+        ..ControllerConfig::paper_stack_profile()
+    });
+    for t in 0..500_000u64 {
+        mc.on_request(t % 4000, false);
+    }
+    assert_eq!(mc.stats().migrations, 793);
+    assert_eq!(mc.splitter_stats().transitions, 793);
 }
 
 #[test]
