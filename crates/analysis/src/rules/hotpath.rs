@@ -25,7 +25,7 @@ const HOT: &[(&str, &str)] = &[
     ("execmig-core", "filter.rs"),
     ("execmig-core", "table.rs"),
     ("execmig-core", "splitter2.rs"),
-    ("execmig-core", "splitter4.rs"),
+    ("execmig-core", "tree.rs"),
     ("execmig-core", "mechanism.rs"),
     ("execmig-cache", "cache.rs"),
     ("execmig-cache", "fully_assoc.rs"),

@@ -1,13 +1,14 @@
 //! Hot paths of the affinity algorithm: the Figure 2 datapath per
-//! reference, with unbounded and finite affinity caches, and the full
-//! 4-way splitter. These bound the simulated migration controller's
+//! reference, with unbounded and finite affinity caches, the recursive
+//! splitter at each depth the controller uses, and the paper's
+//! controller. These bound the simulated migration controller's
 //! per-L1-miss cost.
 
 use execmig_bench::harness::Runner;
 use execmig_bench::LineStream;
 use execmig_core::{
-    Mechanism, MechanismConfig, Sampler, SkewedAffinityCache, Splitter2, Splitter4,
-    Splitter4Config, SplitterConfig, UnboundedAffinityTable,
+    Mechanism, MechanismConfig, SkewedAffinityCache, Splitter2, SplitterConfig, SplitterTree,
+    SplitterTreeConfig, UnboundedAffinityTable,
 };
 use std::hint::black_box;
 
@@ -55,20 +56,18 @@ fn bench_splitters(c: &mut Runner) {
         });
     });
 
-    g.bench_function("splitter4/full_sampling", |b| {
-        let mut s = Splitter4::new(Splitter4Config::default());
-        let mut lines = LineStream::new(3, 14);
-        b.iter(|| black_box(s.on_reference(lines.next_line())));
-    });
-
-    g.bench_function("splitter4/quarter_sampling", |b| {
-        let mut s = Splitter4::new(Splitter4Config {
-            sampler: Sampler::quarter(),
-            ..Splitter4Config::default()
+    // One kernel per depth: 2-, 4- (the paper's §3.6 scheme) and 8-way,
+    // every line sampled so each reference runs a mechanism.
+    for depth in 1..=3u32 {
+        g.bench_function(format!("tree/depth{depth}"), |b| {
+            let mut s = SplitterTree::new(SplitterTreeConfig {
+                depth,
+                ..SplitterTreeConfig::default()
+            });
+            let mut lines = LineStream::new(3, 14);
+            b.iter(|| black_box(s.on_reference(lines.next_line())));
         });
-        let mut lines = LineStream::new(4, 14);
-        b.iter(|| black_box(s.on_reference(lines.next_line())));
-    });
+    }
     g.finish();
 }
 

@@ -466,7 +466,8 @@ impl RefSplitter4 {
             |r| RefMechanism::new(config.affinity_bits, r, config.sign_mode, config.delta_mode);
         RefSplitter4 {
             x: mech(config.r_window_x),
-            y: [mech(config.r_window_y), mech(config.r_window_y)],
+            // §4.1: |R_Y| = |R_X| / 2.
+            y: [mech(config.r_window_x / 2), mech(config.r_window_x / 2)],
             f_x: RefFilter::new(config.filter_bits),
             f_y: [
                 RefFilter::new(config.filter_bits),
@@ -646,7 +647,7 @@ mod tests {
     use super::*;
     use execmig_core::{
         AffinityTable, AnyAffinityTable, Mechanism, MechanismConfig, MigrationController, Sampler,
-        SkewedAffinityCache, Splitter4, Splitter4Config, UnboundedAffinityTable,
+        SkewedAffinityCache, SplitterTree, SplitterTreeConfig, UnboundedAffinityTable,
     };
 
     #[test]
@@ -708,7 +709,7 @@ mod tests {
     }
 
     #[test]
-    fn splitter4_matches_optimized_with_sampling() {
+    fn depth_two_tree_matches_ref_splitter4_with_sampling() {
         let config = ControllerConfig {
             sampler: Sampler::quarter(),
             table: TableConfig::Skewed {
@@ -717,11 +718,11 @@ mod tests {
             },
             ..ControllerConfig::paper_4core()
         };
-        let mut fast = Splitter4::with_table(
-            Splitter4Config {
+        let mut fast = SplitterTree::with_table(
+            SplitterTreeConfig {
+                depth: 2,
                 affinity_bits: config.affinity_bits,
-                r_window_x: config.r_window_x,
-                r_window_y: config.r_window_y,
+                r_window_top: config.r_window_x,
                 filter_bits: config.filter_bits,
                 sampler: config.sampler,
                 sign_mode: config.sign_mode,
@@ -739,10 +740,12 @@ mod tests {
             let update = x & 3 != 0;
             let a = fast.on_reference_filtered(line, update);
             let b = naive.on_reference_filtered(line, update);
-            assert_eq!(a.index(), b, "quadrant diverged at step {i}");
+            assert_eq!(a, b, "quadrant diverged at step {i}");
             assert_eq!(fast.filter_value(), naive.filter_value(), "F_X step {i}");
         }
         assert_eq!(fast.sampled_references(), naive.sampled_references());
+        let t = fast.table_stats();
+        assert_eq!((t.hits, t.misses), naive.table_stats());
     }
 
     #[test]

@@ -12,21 +12,18 @@
 
 use crate::mechanism::{DeltaMode, SignMode};
 use crate::sampler::Sampler;
-use crate::splitter2::{Splitter2, SplitterConfig, SplitterStats};
-use crate::splitter4::{Quadrant, Splitter4, Splitter4Config};
-use crate::table::{
-    AffinityTable, AnyAffinityTable, SkewedAffinityCache, TableStats, UnboundedAffinityTable,
-};
+use crate::splitter2::SplitterStats;
+use crate::table::{AnyAffinityTable, SkewedAffinityCache, TableStats, UnboundedAffinityTable};
 use crate::tree::{SplitterTree, SplitterTreeConfig};
-use crate::Side;
 use execmig_obs::Histogram;
 
 /// Degree of working-set splitting (= number of cores used).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SplitWays {
-    /// 2-way splitting (2-core machine).
+    /// 2-way splitting (2-core machine): one recursion level.
     Two,
-    /// 4-way recursive splitting (the paper's 4-core machine).
+    /// 4-way recursive splitting (the paper's 4-core machine): two
+    /// levels.
     Four,
     /// 8-way splitting — the §6 "larger number of cores" extension,
     /// via a third recursion level (see [`SplitterTree`]).
@@ -61,17 +58,17 @@ pub enum TableConfig {
 /// Configuration of a [`MigrationController`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerConfig {
-    /// 2-way or 4-way splitting.
+    /// Degree of splitting: 2-, 4- or 8-way.
     pub ways: SplitWays,
     /// Bits of the affinity values (paper: 16).
     pub affinity_bits: u32,
-    /// `|R_X|` (paper: 128).
+    /// `|R_X|` (paper: 128); each lower level halves it (`|R_Y|` = 64),
+    /// see [`SplitterTreeConfig::r_window_top`].
     pub r_window_x: usize,
-    /// `|R_Y|` for the second-level mechanisms (paper: 64).
-    pub r_window_y: usize,
     /// Transition-filter width.
     pub filter_bits: u32,
-    /// Working-set sampling.
+    /// Working-set sampling. Ignored by [`SplitWays::Two`], which has
+    /// always sampled every line; 4- and 8-way splitting honour it.
     pub sampler: Sampler,
     /// Affinity-cache sizing.
     pub table: TableConfig,
@@ -91,13 +88,12 @@ pub struct ControllerConfig {
 impl ControllerConfig {
     /// The §4.2 machine configuration: 4-way splitting, 8k-entry 4-way
     /// skewed affinity cache, 25 % sampling, 18-bit filters, L2
-    /// filtering, `|R_X|` = 128, `|R_Y|` = 64.
+    /// filtering, `|R_X|` = 128 (so `|R_Y|` = 64).
     pub fn paper_4core() -> Self {
         ControllerConfig {
             ways: SplitWays::Four,
             affinity_bits: 16,
             r_window_x: 128,
-            r_window_y: 64,
             filter_bits: 18,
             sampler: Sampler::quarter(),
             table: TableConfig::Skewed {
@@ -119,7 +115,6 @@ impl ControllerConfig {
             ways: SplitWays::Four,
             affinity_bits: 16,
             r_window_x: 128,
-            r_window_y: 64,
             filter_bits: 20,
             sampler: Sampler::full(),
             table: TableConfig::Unbounded,
@@ -157,26 +152,6 @@ pub struct ControllerStats {
     pub migrations: u64,
 }
 
-// One controller exists per machine, so the size spread between the
-// 2-way and 8-way splitters is irrelevant; boxing the large variants
-// would add a pointer chase to every per-request dispatch.
-#[allow(clippy::large_enum_variant)]
-enum Inner {
-    Two(Splitter2<AnyAffinityTable>),
-    Four(Splitter4<AnyAffinityTable>),
-    Eight(SplitterTree<AnyAffinityTable>),
-}
-
-impl std::fmt::Debug for Inner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Inner::Two(_) => f.write_str("Inner::Two(..)"),
-            Inner::Four(_) => f.write_str("Inner::Four(..)"),
-            Inner::Eight(_) => f.write_str("Inner::Eight(..)"),
-        }
-    }
-}
-
 /// The migration controller: monitors L1-miss requests and designates
 /// the core that should execute.
 ///
@@ -190,7 +165,8 @@ impl std::fmt::Debug for Inner {
 #[derive(Debug)]
 pub struct MigrationController {
     config: ControllerConfig,
-    inner: Inner,
+    /// `log2(ways)` levels of recursive 2-way splitting.
+    splitter: SplitterTree<AnyAffinityTable>,
     current_core: usize,
     stats: ControllerStats,
     /// Monitored requests between designated-core changes.
@@ -207,46 +183,24 @@ impl MigrationController {
     /// Panics on invalid widths or table geometry (see
     /// [`SkewedAffinityCache::new`]).
     pub fn new(config: ControllerConfig) -> Self {
-        let table = config.build_table();
-        let inner = match config.ways {
-            SplitWays::Two => Inner::Two(Splitter2::with_table(
-                SplitterConfig {
-                    affinity_bits: config.affinity_bits,
-                    r_window: config.r_window_x,
-                    filter_bits: Some(config.filter_bits),
-                    sign_mode: config.sign_mode,
-                    delta_mode: config.delta_mode,
+        let splitter = SplitterTree::with_table(
+            SplitterTreeConfig {
+                depth: config.ways.count().trailing_zeros(),
+                affinity_bits: config.affinity_bits,
+                r_window_top: config.r_window_x,
+                filter_bits: config.filter_bits,
+                sampler: match config.ways {
+                    SplitWays::Two => Sampler::full(),
+                    SplitWays::Four | SplitWays::Eight => config.sampler,
                 },
-                table,
-            )),
-            SplitWays::Four => Inner::Four(Splitter4::with_table(
-                Splitter4Config {
-                    affinity_bits: config.affinity_bits,
-                    r_window_x: config.r_window_x,
-                    r_window_y: config.r_window_y,
-                    filter_bits: config.filter_bits,
-                    sampler: config.sampler,
-                    sign_mode: config.sign_mode,
-                    delta_mode: config.delta_mode,
-                },
-                table,
-            )),
-            SplitWays::Eight => Inner::Eight(SplitterTree::with_table(
-                SplitterTreeConfig {
-                    depth: 3,
-                    affinity_bits: config.affinity_bits,
-                    r_window_top: config.r_window_x,
-                    filter_bits: config.filter_bits,
-                    sampler: config.sampler,
-                    sign_mode: config.sign_mode,
-                    delta_mode: config.delta_mode,
-                },
-                table,
-            )),
-        };
+                sign_mode: config.sign_mode,
+                delta_mode: config.delta_mode,
+            },
+            config.build_table(),
+        );
         MigrationController {
             config,
-            inner,
+            splitter,
             current_core: 0,
             stats: ControllerStats::default(),
             dwell: Histogram::new(),
@@ -285,11 +239,7 @@ impl MigrationController {
         }
         let update_filter =
             (!self.config.l2_filter || l2_miss) && (!self.config.pointer_filter || pointer);
-        let core = match &mut self.inner {
-            Inner::Two(s) => s.on_reference_filtered(line, update_filter).index(),
-            Inner::Four(s) => s.on_reference_filtered(line, update_filter).index(),
-            Inner::Eight(s) => s.on_reference_filtered(line, update_filter),
-        };
+        let core = self.splitter.on_reference_filtered(line, update_filter);
         if core != self.current_core {
             self.stats.migrations += 1;
             self.current_core = core;
@@ -323,20 +273,12 @@ impl MigrationController {
 
     /// Splitter-level transition statistics.
     pub fn splitter_stats(&self) -> SplitterStats {
-        match &self.inner {
-            Inner::Two(s) => s.stats(),
-            Inner::Four(s) => s.stats(),
-            Inner::Eight(s) => s.stats(),
-        }
+        self.splitter.stats()
     }
 
     /// Affinity-table statistics.
     pub fn table_stats(&self) -> TableStats {
-        match &self.inner {
-            Inner::Two(s) => s.table().stats(),
-            Inner::Four(s) => s.table_stats(),
-            Inner::Eight(s) => s.table_stats(),
-        }
+        self.splitter.table_stats()
     }
 
     /// How many monitored requests the controller dwells on a core
@@ -349,52 +291,25 @@ impl MigrationController {
     /// Age-at-eviction histogram of the affinity cache; `None` when the
     /// table is unbounded (it never evicts).
     pub fn affinity_age_histogram(&self) -> Option<&Histogram> {
-        match &self.inner {
-            Inner::Two(s) => s.table().age_at_eviction(),
-            Inner::Four(s) => s.table().age_at_eviction(),
-            Inner::Eight(s) => s.table().age_at_eviction(),
-        }
+        self.splitter.table().age_at_eviction()
     }
 
-    /// The top-level transition filter's current `F` value — the
-    /// quantity whose sign flips drive migrations (§3.4). For 4-/8-way
-    /// splitting this is `F_X`; for 2-way it is the single filter (or
-    /// `A_R` when configured filterless).
+    /// The top-level transition filter's current `F_X` value — the
+    /// quantity whose sign flips drive migrations (§3.4); for 2-way
+    /// splitting it is the single filter.
     pub fn filter_value(&self) -> i64 {
-        match &self.inner {
-            Inner::Two(s) => s.filter_value(),
-            Inner::Four(s) => s.filter_value(),
-            Inner::Eight(s) => s.filter_value(),
-        }
+        self.splitter.filter_value()
     }
 
     /// The top-level mechanism's current window sum `A_R` (§3.2).
     pub fn ar(&self) -> i64 {
-        match &self.inner {
-            Inner::Two(s) => s.mechanism().ar(),
-            Inner::Four(s) => s.mechanism().ar(),
-            Inner::Eight(s) => s.mechanism().ar(),
-        }
+        self.splitter.mechanism().ar()
     }
 
-    /// The quadrant/side currently designated, as a subset index.
+    /// The subset currently designated (the splitter's sign-path).
     pub fn current_subset(&self) -> usize {
-        match &self.inner {
-            Inner::Two(s) => s.current_side().index(),
-            Inner::Four(s) => s.current_quadrant().index(),
-            Inner::Eight(s) => s.current_subset(),
-        }
+        self.splitter.current_subset()
     }
-}
-
-/// Maps a 2-way side to a core index (0 or 1).
-pub fn core_of_side(side: Side) -> usize {
-    side.index()
-}
-
-/// Maps a quadrant to a core index (0..4).
-pub fn core_of_quadrant(q: Quadrant) -> usize {
-    q.index()
 }
 
 #[cfg(test)]

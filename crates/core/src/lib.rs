@@ -42,9 +42,12 @@
 //!   unsplittable (random) working sets.
 //! - [`Sampler`]: `H(e) = e mod 31`; only lines with `H(e) < 8` get
 //!   affinity-cache entries (25 % sampling), the rest rely on the filter.
-//! - [`Splitter4`]: recursive 2-way splitting — mechanism `X` handles
-//!   odd-`H` lines, `Y[sign(F_X)]` the even-`H` ones; the 4-way subset is
-//!   `(sign(F_X), sign(F_{Y[sign(F_X)]}))`.
+//! - [`SplitterTree`]: the one recursive splitter — `depth` levels of
+//!   2-way mechanisms over one affinity table. At depth 2 (the paper's
+//!   4-way scheme) mechanism `X` handles odd-`H` lines, `Y[sign(F_X)]`
+//!   the even-`H` ones, and the subset is
+//!   `(sign(F_X), sign(F_{Y[sign(F_X)]}))`; depth 1 is 2-way, depth 3
+//!   the §6 8-way extension.
 //! - [`MigrationController`]: ties it all together behind the L1-miss
 //!   request stream, with optional *L2 filtering* (filter updates only on
 //!   L2 misses) so "a migration can happen only upon a L2 miss".
@@ -76,7 +79,6 @@ pub mod reference;
 pub mod sampler;
 pub mod sat;
 pub mod splitter2;
-pub mod splitter4;
 pub mod table;
 pub mod tree;
 pub mod window;
@@ -89,7 +91,6 @@ pub use mechanism::{DeltaMode, Mechanism, MechanismConfig, SignMode};
 pub use reference::IdealAffinity;
 pub use sampler::Sampler;
 pub use splitter2::{Splitter2, SplitterConfig, SplitterStats};
-pub use splitter4::{Quadrant, Splitter4, Splitter4Config};
 pub use table::{
     AffinityTable, AnyAffinityTable, SkewedAffinityCache, TableStats, UnboundedAffinityTable,
 };

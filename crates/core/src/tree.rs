@@ -14,6 +14,9 @@
 //! For `depth = 2` this is exactly the paper's scheme: odd hashes go to
 //! `X`, even ones to `Y[sign(F_X)]`. R-windows halve per level
 //! (`|R_X| = 128`, `|R_Y| = 64`, `|R_Z| = 32`, …).
+//!
+//! The [`MigrationController`](crate::MigrationController) runs one
+//! tree for every split degree: depth 1, 2 and 3 for 2-, 4- and 8-way.
 
 use crate::filter::TransitionFilter;
 use crate::mechanism::{DeltaMode, Mechanism, MechanismConfig, SignMode};
@@ -59,9 +62,12 @@ impl Default for SplitterTreeConfig {
 #[derive(Debug, Clone)]
 pub struct SplitterTree<T: AffinityTable = UnboundedAffinityTable> {
     depth: u32,
-    /// `levels[l][path]`: the mechanism+filter for sign-path `path`
+    /// The `2^depth − 1` mechanism+filter pairs in heap order: node 0
+    /// is level 0 (`X`), and the child of `node` on side bit `b`
+    /// ([`Side::index`] of its filter) is `2·node + 1 + b`. Level `l`
+    /// thus holds nodes `2^l − 1 .. 2^{l+1} − 1`, one per sign-path
     /// through levels `0..l`.
-    levels: Vec<Vec<(Mechanism, TransitionFilter)>>,
+    nodes: Vec<(Mechanism, TransitionFilter)>,
     sampler: Sampler,
     table: T,
     current: usize,
@@ -86,27 +92,25 @@ impl<T: AffinityTable> SplitterTree<T> {
     /// widths.
     pub fn with_table(config: SplitterTreeConfig, table: T) -> Self {
         assert!((1..=4).contains(&config.depth), "depth must be in [1, 4]");
-        let levels = (0..config.depth)
-            .map(|l| {
-                let r = (config.r_window_top >> l).max(8);
-                (0..(1usize << l))
-                    .map(|_| {
-                        (
-                            Mechanism::new(MechanismConfig {
-                                affinity_bits: config.affinity_bits,
-                                r_window: r,
-                                sign_mode: config.sign_mode,
-                                delta_mode: config.delta_mode,
-                            }),
-                            TransitionFilter::new(config.filter_bits),
-                        )
-                    })
-                    .collect()
+        let nodes = (0..config.depth)
+            .flat_map(|l| {
+                let mechanism = MechanismConfig {
+                    affinity_bits: config.affinity_bits,
+                    r_window: (config.r_window_top >> l).max(8),
+                    sign_mode: config.sign_mode,
+                    delta_mode: config.delta_mode,
+                };
+                (0..1usize << l).map(move |_| {
+                    (
+                        Mechanism::new(mechanism),
+                        TransitionFilter::new(config.filter_bits),
+                    )
+                })
             })
             .collect();
         SplitterTree {
             depth: config.depth,
-            levels,
+            nodes,
             sampler: config.sampler,
             table,
             current: 0,
@@ -120,56 +124,44 @@ impl<T: AffinityTable> SplitterTree<T> {
         1 << self.depth
     }
 
-    /// The level a sampled hash is routed to.
+    /// The level a sampled hash is routed to: `l < depth−1` takes
+    /// `H(e) ≡ 2^l (mod 2^{l+1})`, the last level the rest.
     fn level_of(&self, h: u64) -> u32 {
-        for l in 0..self.depth - 1 {
-            if h % (1 << (l + 1)) == (1 << l) {
-                return l;
-            }
-        }
-        self.depth - 1
+        h.trailing_zeros().min(self.depth - 1)
     }
 
-    /// The sign-path through levels `0..l` given the current filters.
-    fn path_to(&self, l: u32) -> usize {
-        let mut path = 0usize;
-        for level in 0..l {
-            let (_, f) = &self.levels[level as usize][path];
-            path = (path << 1) | f.side().index();
+    /// The node reached by following the filter signs down `levels`
+    /// levels from the root.
+    fn descend(&self, levels: u32) -> usize {
+        let mut node = 0;
+        for _ in 0..levels {
+            node = 2 * node + 1 + self.nodes[node].1.side().index();
         }
-        path
+        node
     }
 
     /// Processes a reference; returns the designated subset index in
-    /// `0..2^depth`. `update_filter` is false for L2 hits under L2
-    /// filtering.
+    /// `0..2^depth`: the full sign-path, first level in the high bit.
+    /// `update_filter` is false for L2 hits under L2 filtering.
     pub fn on_reference_filtered(&mut self, line: u64, update_filter: bool) -> usize {
         let h = self.sampler.hash(line);
         if h < self.sampler.threshold() {
             self.sampled_refs += 1;
-            let l = self.level_of(h);
-            let path = self.path_to(l);
-            let (mech, filter) = &mut self.levels[l as usize][path];
+            let node = self.descend(self.level_of(h));
+            let (mech, filter) = &mut self.nodes[node];
             let a_e = mech.on_reference(line, &mut self.table);
+            // The subset only moves when a filter does.
             if update_filter {
                 filter.update(a_e);
+                let subset = self.descend(self.depth) + 1 - self.subsets();
+                if subset != self.current {
+                    self.stats.transitions += 1;
+                    self.current = subset;
+                }
             }
         }
-        // The designated subset: the full sign-path.
-        let mut subset = 0usize;
-        let mut path = 0usize;
-        for level in 0..self.depth {
-            let (_, f) = &self.levels[level as usize][path];
-            let bit = f.side().index();
-            subset = (subset << 1) | bit;
-            path = (path << 1) | bit;
-        }
         self.stats.references += 1;
-        if subset != self.current {
-            self.stats.transitions += 1;
-            self.current = subset;
-        }
-        subset
+        self.current
     }
 
     /// Processes a reference with unconditional filter update.
@@ -205,17 +197,17 @@ impl<T: AffinityTable> SplitterTree<T> {
     /// The sign of level 0's filter (for cross-checks against
     /// [`Splitter2`](crate::Splitter2)).
     pub fn top_side(&self) -> Side {
-        self.levels[0][0].1.side()
+        self.nodes[0].1.side()
     }
 
     /// Level 0's filter value (`F_X`).
     pub fn filter_value(&self) -> i64 {
-        self.levels[0][0].1.value()
+        self.nodes[0].1.value()
     }
 
     /// Level 0's mechanism (`X`).
     pub fn mechanism(&self) -> &Mechanism {
-        &self.levels[0][0].0
+        &self.nodes[0].0
     }
 }
 
@@ -254,6 +246,90 @@ mod tests {
             let expect = if h % 2 == 1 { 0 } else { 1 };
             assert_eq!(t.level_of(h), expect, "h = {h}");
         }
+    }
+
+    #[test]
+    fn odd_h_updates_x_even_h_updates_y_of_fx_sign() {
+        // §3.6 at depth 2: "a sampled line with odd H(e) is processed by
+        // X, one with even H(e) by Y[sign(F_X)]". With the full sampler,
+        // H(e) = e mod 31. A second reference to a line yields
+        // A_e = −∆ ≠ 0, which moves exactly one filter — revealing the
+        // routing. Nodes: 0 = X, 1 = Y[+], 2 = Y[−].
+        let four_way = || {
+            SplitterTree::new(SplitterTreeConfig {
+                depth: 2,
+                ..SplitterTreeConfig::default()
+            })
+        };
+        let filters =
+            |t: &SplitterTree| -> Vec<i64> { t.nodes.iter().map(|(_, f)| f.value()).collect() };
+        // e = 2 (even H) while F_X ≥ 0 must update F_Y[+] only.
+        let mut t = four_way();
+        t.on_reference(2);
+        t.on_reference(2);
+        let f = filters(&t);
+        assert_eq!(f[0], 0, "F_X must not move on even H");
+        assert_ne!(f[1], 0, "F_Y[+] must move");
+        assert_eq!(f[2], 0, "F_Y[−] must not move");
+
+        // e = 1 (odd H) must update F_X only.
+        let mut t = four_way();
+        t.on_reference(1);
+        t.on_reference(1);
+        assert!(t.filter_value() < 0, "F_X must move on odd H");
+        assert_eq!(filters(&t)[1..], [0, 0]);
+        // ... which designates subset (−, +) = 2: X's sign in the high bit.
+        assert_eq!(t.current_subset(), 2);
+
+        // With F_X < 0, even H routes to the other leaf: F_Y[−].
+        t.on_reference(2);
+        t.on_reference(2);
+        let f = filters(&t);
+        assert_eq!(f[1], 0, "F_Y[+] must not move");
+        assert_ne!(f[2], 0, "F_Y[−] must move");
+    }
+
+    #[test]
+    fn four_way_splits_circular() {
+        // A large circular stream should spread over all four subsets
+        // and transition rarely once settled.
+        let mut t = SplitterTree::new(SplitterTreeConfig {
+            depth: 2,
+            ..SplitterTreeConfig::default()
+        });
+        let n = 16_000u64;
+        for i in 0..4_000_000u64 {
+            t.on_reference(i % n);
+        }
+        let mut counts = [0u64; 4];
+        let before = t.stats().transitions;
+        for i in 0..n {
+            counts[t.on_reference(i % n)] += 1;
+        }
+        let transitions = t.stats().transitions - before;
+        let occupied = counts.iter().filter(|&&c| c > n / 16).count();
+        assert!(
+            occupied >= 3,
+            "split uses only {occupied} subsets: {counts:?}"
+        );
+        assert!(
+            transitions <= 64,
+            "{transitions} transitions in one settled lap"
+        );
+    }
+
+    #[test]
+    fn unsampled_lines_never_touch_the_table() {
+        let mut t = SplitterTree::new(SplitterTreeConfig {
+            sampler: Sampler::quarter(),
+            ..SplitterTreeConfig::default()
+        });
+        for e in (0..10_000u64).filter(|&e| !Sampler::quarter().is_sampled(e)) {
+            t.on_reference(e);
+        }
+        assert_eq!(t.sampled_references(), 0);
+        let ts = t.table_stats();
+        assert_eq!(ts.hits + ts.misses, 0);
     }
 
     #[test]
@@ -336,6 +412,8 @@ mod tests {
             quarter.on_reference(i % 7000);
         }
         assert_eq!(full.sampled_references(), 50_000);
-        assert!(quarter.sampled_references() < 20_000);
+        // H(e) < 8 of 31 residues: ≈ 26 %.
+        let frac = quarter.sampled_references() as f64 / 50_000.0;
+        assert!((0.2..0.32).contains(&frac), "sampled fraction {frac}");
     }
 }

@@ -12,7 +12,7 @@
 //! `record_replay` example.
 
 use execmig_cache::{LruStack, StackProfile};
-use execmig_core::{Splitter4, Splitter4Config};
+use execmig_core::{SplitterTree, SplitterTreeConfig};
 use execmig_experiments::l1filter::L1Filter;
 use execmig_experiments::manifest::ManifestEmitter;
 use execmig_experiments::report::arg_flag;
@@ -58,7 +58,10 @@ fn main() {
     let mut profile1 = StackProfile::new(512 << 10);
     let mut stacks4: Vec<LruStack> = (0..4).map(|_| LruStack::new()).collect();
     let mut profile4 = StackProfile::new(512 << 10);
-    let mut splitter = Splitter4::new(Splitter4Config::default());
+    let mut splitter = SplitterTree::new(SplitterTreeConfig {
+        depth: 2,
+        ..SplitterTreeConfig::default()
+    });
     let mut accesses = 0u64;
     while !reader.is_finished() {
         let access = reader.next_access();
@@ -66,7 +69,7 @@ fn main() {
         if let Some(miss) = filter.filter(access) {
             profile1.record(stack1.access(miss.raw()));
             let q = splitter.on_reference(miss.raw());
-            profile4.record(stacks4[q.index()].access(miss.raw()));
+            profile4.record(stacks4[q].access(miss.raw()));
         }
     }
     let instructions = reader.instructions();

@@ -4,14 +4,14 @@
 //! The L1-filtered reference stream feeds (a) a single LRU stack, giving
 //! `p1(x)` — the fraction of references with stack depth greater than a
 //! cache of `x` bytes — and (b) the 4-way affinity splitter of §3.6
-//! (`|R_X|`=128, `|R_Y|`=64, 20-bit filters, unlimited affinity cache,
-//! no L2 filtering), which routes each reference to one of four stacks,
+//! (a depth-2 `SplitterTree`: `|R_X|`=128, `|R_Y|`=64, 20-bit filters,
+//! unlimited affinity cache, no L2 filtering), which routes each reference to one of four stacks,
 //! giving the merged `p4(x)`. "Splittability" shows as `p4` dropping
 //! well before `p1`.
 
 use crate::l1filter::L1Filter;
 use execmig_cache::{LruStack, StackProfile};
-use execmig_core::{Splitter4, Splitter4Config};
+use execmig_core::{SplitterTree, SplitterTreeConfig};
 use execmig_trace::{suite, LineSize, Workload};
 
 /// Maximum stack depth tracked exactly (lines). 512k lines = 32 MB,
@@ -100,7 +100,10 @@ pub fn run_workload(name: &str, w: &mut (dyn Workload + Send), config: &Fig45Con
     let mut profile1 = StackProfile::new(MAX_DEPTH);
     let mut stacks4: Vec<LruStack> = (0..4).map(|_| LruStack::new()).collect();
     let mut profile4 = StackProfile::new(MAX_DEPTH);
-    let mut splitter = Splitter4::new(Splitter4Config::default());
+    let mut splitter = SplitterTree::new(SplitterTreeConfig {
+        depth: 2,
+        ..SplitterTreeConfig::default()
+    });
     let mut references = 0u64;
     while w.instructions() < config.instructions {
         let access = w.next_access();
@@ -113,7 +116,7 @@ pub fn run_workload(name: &str, w: &mut (dyn Workload + Send), config: &Fig45Con
         // to only one of the four LRU stacks" — the quadrant designated
         // *after* processing the reference.
         let q = splitter.on_reference(miss_line.raw());
-        profile4.record(stacks4[q.index()].access(miss_line.raw()));
+        profile4.record(stacks4[q].access(miss_line.raw()));
     }
     let points: Vec<(u64, f64, f64)> = config
         .points_bytes
