@@ -23,8 +23,8 @@
 //!
 //! So does the live-telemetry hub (E011): `.publish()` beats outside
 //! obs must sit behind `if Hub::ACTIVE { … }`, a `#[cfg(feature = …)]`
-//! item, or a test. The no-op `HubWorker::publish` is inlined to
-//! nothing without `trace`, but an ungated call still constructs its
+//! item, or a test. Without `trace`, `HubWorker::publish` returns at
+//! once on the inert handle, but an ungated call still constructs its
 //! `Beat` argument — and signals intent the default build silently
 //! skips.
 

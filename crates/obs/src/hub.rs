@@ -30,13 +30,18 @@
 //! an assumption as instrumentation grows.
 //!
 //! **Zero cost when off.** Like [`crate::Tracer`] and
-//! [`crate::Profiler`], the hub follows the `trace`-feature discipline:
-//! without the feature [`Hub`] and [`HubWorker`] are zero-sized no-ops
-//! and [`Hub::ACTIVE`] is `false`. Publish call sites outside this
-//! crate must sit behind `if Hub::ACTIVE { … }` (lint rule E011), so
-//! default builds carry no telemetry code at all.
+//! [`crate::Profiler`], the hub follows the `trace`-feature discipline
+//! with one implementation: [`Hub::ACTIVE`] is
+//! `cfg!(feature = "trace")`, and without the feature a [`Hub`] is
+//! built empty (no rings, no allocation) and hands out inert
+//! [`HubWorker`]s. Publish call sites outside this crate must sit
+//! behind `if Hub::ACTIVE { … }` (lint rule E011), so default builds
+//! run no telemetry code at all.
 
 use crate::json::{Json, ToJson};
+use crate::model::sync::Arc;
+use crate::spsc::{Aggregator, Merged, SeqRing};
+use std::time::Instant;
 
 /// `u64` words per encoded [`Beat`] in the ring: nine payload words,
 /// the hub-clock stamp, one spare word and the ring's sequence stamp.
@@ -73,7 +78,6 @@ impl WorkerState {
         }
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn encode(self) -> u64 {
         match self {
             WorkerState::Idle => 0,
@@ -82,7 +86,6 @@ impl WorkerState {
         }
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn decode(v: u64) -> WorkerState {
         match v {
             1 => WorkerState::Running,
@@ -133,7 +136,6 @@ impl Beat {
         }
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn encode(&self, wall_us: u64) -> [u64; BEAT_WORDS] {
         [
             self.state.encode(),
@@ -151,7 +153,6 @@ impl Beat {
         ]
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn decode(words: &[u64; BEAT_WORDS]) -> (Beat, u64) {
         (
             Beat {
@@ -378,125 +379,129 @@ impl ToJson for HealthReport {
     }
 }
 
-#[cfg(feature = "trace")]
-mod real {
-    use super::*;
-    use crate::model::sync::{Arc, Mutex};
-    use crate::spsc::SeqRing;
-    use std::time::Instant;
+struct HubInner {
+    config: HubConfig,
+    started: Instant,
+    rings: Vec<SeqRing<BEAT_WORDS>>,
+    /// One retained row per worker slot.
+    agg: Aggregator<Vec<WorkerProgress>>,
+}
 
-    /// Aggregator-side merge state, guarded by one (cold-path) mutex.
-    struct AggState {
-        workers: Vec<WorkerProgress>,
-        epoch: u64,
-        merges: u64,
-        merge_ns: u64,
+impl std::fmt::Debug for HubInner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HubInner")
+            .field("config", &self.config)
+            .finish_non_exhaustive()
     }
+}
 
-    struct HubInner {
-        config: HubConfig,
-        started: Instant,
-        rings: Vec<SeqRing<BEAT_WORDS>>,
-        agg: Mutex<AggState>,
+impl HubInner {
+    fn overhead(&self, merged: &Merged<Vec<WorkerProgress>>) -> HubOverhead {
+        let rings = SeqRing::totals(&self.rings);
+        HubOverhead {
+            beats: rings.accepted,
+            dropped: rings.dropped,
+            bytes: rings.bytes,
+            publish_ns: rings.billed_ns,
+            merges: merged.epoch,
+            merge_ns: merged.merge_ns,
+        }
     }
+}
 
-    /// The live telemetry hub (real variant, `trace` feature on).
+/// The live telemetry hub.
+///
+/// Cheap to clone — clones share the same rings and merge state.
+/// Inactive (without `trace`) it is built empty: no rings, no shared
+/// state, inert worker handles, and an empty epoch-0 snapshot.
+#[derive(Debug, Clone)]
+pub struct Hub {
+    /// `None` exactly when the hub is inactive.
+    inner: Option<Arc<HubInner>>,
+}
+
+impl Hub {
+    /// Compile-time flag: true in `trace` builds. Publish sites outside
+    /// obs guard with this (lint rule E011).
+    pub const ACTIVE: bool = cfg!(feature = "trace");
+
+    /// A hub with `config.workers` slots (none, and no allocation, when
+    /// inactive).
     ///
-    /// Cheap to clone — clones share the same rings and merge state.
-    #[derive(Clone)]
-    pub struct Hub {
-        inner: Arc<HubInner>,
-    }
-
-    impl std::fmt::Debug for Hub {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Hub")
-                .field("config", &self.inner.config)
-                .finish()
+    /// # Panics
+    ///
+    /// Panics if `ring_capacity < 2`.
+    pub fn new(config: HubConfig) -> Hub {
+        assert!(config.ring_capacity >= 2, "hub ring capacity must be ≥ 2");
+        if !Self::ACTIVE {
+            return Hub { inner: None };
+        }
+        let rings = (0..config.workers)
+            .map(|_| SeqRing::new(config.ring_capacity))
+            .collect();
+        let workers = (0..config.workers)
+            .map(|worker| WorkerProgress {
+                worker,
+                task: u64::MAX,
+                ..WorkerProgress::default()
+            })
+            .collect();
+        Hub {
+            inner: Some(Arc::new(HubInner {
+                config,
+                started: Instant::now(),
+                rings,
+                agg: Aggregator::new(workers),
+            })),
         }
     }
 
-    impl Hub {
-        /// Compile-time flag: true in `trace` builds. Publish sites
-        /// outside obs guard with this (lint rule E011).
-        pub const ACTIVE: bool = true;
+    /// A hub with the default config for `workers` slots.
+    pub fn with_workers(workers: usize) -> Hub {
+        Hub::new(HubConfig::with_workers(workers))
+    }
 
-        /// A hub with `config.workers` slots.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `ring_capacity < 2`.
-        pub fn new(config: HubConfig) -> Hub {
-            assert!(config.ring_capacity >= 2, "hub ring capacity must be ≥ 2");
-            let rings = (0..config.workers)
-                .map(|_| SeqRing::new(config.ring_capacity))
-                .collect();
-            let workers = (0..config.workers)
-                .map(|worker| WorkerProgress {
-                    worker,
-                    task: u64::MAX,
-                    ..WorkerProgress::default()
-                })
-                .collect();
-            Hub {
-                inner: Arc::new(HubInner {
-                    config,
-                    started: Instant::now(),
-                    rings,
-                    agg: Mutex::new(AggState {
-                        workers,
-                        epoch: 0,
-                        merges: 0,
-                        merge_ns: 0,
-                    }),
-                }),
-            }
-        }
+    /// The configuration (the default one when inactive).
+    pub fn config(&self) -> HubConfig {
+        self.inner
+            .as_ref()
+            .map_or_else(HubConfig::default, |i| i.config)
+    }
 
-        /// A hub with the default config for `workers` slots.
-        pub fn with_workers(workers: usize) -> Hub {
-            Hub::new(HubConfig::with_workers(workers))
-        }
+    /// µs since the hub was created (the hub clock beats and snapshots
+    /// are stamped with); 0 when inactive.
+    pub fn now_us(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.started.elapsed().as_micros() as u64)
+    }
 
-        /// The configuration.
-        pub fn config(&self) -> HubConfig {
-            self.inner.config
-        }
-
-        /// µs since the hub was created (the hub clock beats and
-        /// snapshots are stamped with).
-        pub fn now_us(&self) -> u64 {
-            self.inner.started.elapsed().as_micros() as u64
-        }
-
-        /// Claims worker slot `index`'s producer handle. Each slot has
-        /// exactly one producer: the first claim wins, later claims
-        /// (and out-of-range indices) get `None`.
-        pub fn worker(&self, index: usize) -> Option<HubWorker> {
-            if !self.inner.rings.get(index)?.claim() {
+    /// Claims worker slot `index`'s producer handle. Each slot has
+    /// exactly one producer: the first claim wins, later claims (and
+    /// out-of-range indices) get `None`. Inactive, every call gets an
+    /// inert handle and claims nothing.
+    pub fn worker(&self, index: usize) -> Option<HubWorker> {
+        if let Some(inner) = &self.inner {
+            if !inner.rings.get(index)?.claim() {
                 return None;
             }
-            Some(HubWorker {
-                inner: Arc::clone(&self.inner),
-                index,
-            })
         }
+        Some(HubWorker {
+            inner: self.inner.clone(),
+            index,
+        })
+    }
 
-        fn agg_lock(&self) -> crate::model::sync::MutexGuard<'_, AggState> {
-            match self.inner.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            }
-        }
-
-        /// Drains every ring, merges newest beats into the retained
-        /// per-worker rows, bumps the epoch, and returns the merged
-        /// view. Aggregation is serialised internally (single-
-        /// aggregator); workers never block on it.
-        pub fn snapshot(&self) -> HubSnapshot {
-            let t0 = Instant::now();
-            let mut agg = self.agg_lock();
-            for (ring, row) in self.inner.rings.iter().zip(agg.workers.iter_mut()) {
+    /// Drains every ring, merges newest beats into the retained
+    /// per-worker rows, bumps the epoch, and returns the merged view
+    /// (empty, epoch 0, when inactive). Aggregation is serialised
+    /// internally (single-aggregator); workers never block on it.
+    pub fn snapshot(&self) -> HubSnapshot {
+        let Some(inner) = &self.inner else {
+            return HubSnapshot::default();
+        };
+        let merged = inner.agg.merge(|rows| {
+            for (ring, row) in inner.rings.iter().zip(rows.iter_mut()) {
                 row.beats += ring.drain(|words| {
                     let (beat, wall_us) = Beat::decode(words);
                     row.state = beat.state;
@@ -512,173 +517,79 @@ mod real {
                 });
                 row.dropped = ring.dropped();
             }
-            let now_us = self.now_us();
-            for row in agg.workers.iter_mut() {
-                row.age_us = if row.beats == 0 {
-                    0
-                } else {
-                    now_us.saturating_sub(row.wall_us)
-                };
-            }
-            agg.epoch += 1;
-            agg.merges += 1;
-            agg.merge_ns += t0.elapsed().as_nanos() as u64;
-            HubSnapshot {
-                epoch: agg.epoch,
-                taken_us: now_us,
-                workers: agg.workers.clone(),
-                overhead: self.overhead_locked(&agg),
-            }
-        }
-
-        /// Hub self-accounting so far (without forcing a merge).
-        pub fn overhead(&self) -> HubOverhead {
-            self.overhead_locked(&self.agg_lock())
-        }
-
-        fn overhead_locked(&self, agg: &AggState) -> HubOverhead {
-            let rings = SeqRing::totals(&self.inner.rings);
-            HubOverhead {
-                beats: rings.accepted,
-                dropped: rings.dropped,
-                bytes: rings.bytes,
-                publish_ns: rings.billed_ns,
-                merges: agg.merges,
-                merge_ns: agg.merge_ns,
-            }
-        }
-
-        /// Merges and reduces to the `/healthz` verdict using the
-        /// configured watchdog thresholds.
-        pub fn health(&self) -> HealthReport {
-            let snap = self.snapshot();
-            let stalled = snap.stalled_workers(self.inner.config.stall_after_us());
-            HealthReport {
-                ok: stalled.is_empty(),
-                workers: snap.workers.len(),
-                stalled,
-                epoch: snap.epoch,
-            }
+        });
+        let taken_us = self.now_us();
+        HubSnapshot {
+            epoch: merged.epoch,
+            taken_us,
+            workers: merged
+                .data
+                .iter()
+                .map(|row| WorkerProgress {
+                    age_us: if row.beats == 0 {
+                        0
+                    } else {
+                        taken_us.saturating_sub(row.wall_us)
+                    },
+                    ..*row
+                })
+                .collect(),
+            overhead: inner.overhead(&merged),
         }
     }
 
-    /// A worker's producer handle (real variant). Deliberately not
-    /// `Clone`: one producer per ring is what makes the ring SPSC.
-    pub struct HubWorker {
-        inner: Arc<HubInner>,
-        index: usize,
-    }
-
-    impl std::fmt::Debug for HubWorker {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("HubWorker")
-                .field("index", &self.index)
-                .finish()
-        }
-    }
-
-    impl HubWorker {
-        /// The slot index this handle publishes to.
-        pub fn index(&self) -> usize {
-            self.index
-        }
-
-        /// Publishes one beat, stamped with the hub clock, into this
-        /// worker's ring. A full ring drops the beat and counts the
-        /// drop — the hot path never waits. Publish cost is
-        /// self-measured into [`HubOverhead::publish_ns`].
-        pub fn publish(&self, beat: Beat) {
-            let t0 = Instant::now();
-            let ring = &self.inner.rings[self.index];
-            let wall_us = t0.duration_since(self.inner.started).as_micros() as u64;
-            ring.push(beat.encode(wall_us));
-            ring.bill(t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-#[cfg(feature = "trace")]
-pub use real::{Hub, HubWorker};
-
-/// No-op hub compiled without the `trace` feature: zero-sized, every
-/// method an empty `#[inline(always)]` body.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone)]
-pub struct Hub;
-
-#[cfg(not(feature = "trace"))]
-impl Hub {
-    /// Compile-time flag: false without the `trace` feature.
-    pub const ACTIVE: bool = false;
-
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn new(_config: HubConfig) -> Hub {
-        Hub
-    }
-
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn with_workers(_workers: usize) -> Hub {
-        Hub
-    }
-
-    /// The default (empty) configuration.
-    #[inline(always)]
-    pub fn config(&self) -> HubConfig {
-        HubConfig::default()
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn now_us(&self) -> u64 {
-        0
-    }
-
-    /// Always a no-op handle (publishing to it does nothing).
-    #[inline(always)]
-    pub fn worker(&self, _index: usize) -> Option<HubWorker> {
-        Some(HubWorker)
-    }
-
-    /// Always empty, epoch 0.
-    #[inline(always)]
-    pub fn snapshot(&self) -> HubSnapshot {
-        HubSnapshot::default()
-    }
-
-    /// Always zero.
-    #[inline(always)]
+    /// Hub self-accounting so far (without forcing a merge); zero when
+    /// inactive.
     pub fn overhead(&self) -> HubOverhead {
-        HubOverhead::default()
+        self.inner
+            .as_ref()
+            .map_or_else(HubOverhead::default, |i| i.overhead(&i.agg.lock()))
     }
 
-    /// Always healthy (nothing is watched).
-    #[inline(always)]
+    /// Merges and reduces to the `/healthz` verdict using the
+    /// configured watchdog thresholds (always healthy when inactive:
+    /// nothing is watched).
     pub fn health(&self) -> HealthReport {
+        let snap = self.snapshot();
+        let stalled = snap.stalled_workers(self.config().stall_after_us());
         HealthReport {
-            ok: true,
-            ..HealthReport::default()
+            ok: stalled.is_empty(),
+            workers: snap.workers.len(),
+            stalled,
+            epoch: snap.epoch,
         }
     }
 }
 
-/// No-op producer handle compiled without the `trace` feature.
-#[cfg(not(feature = "trace"))]
+/// A worker's producer handle. Deliberately not `Clone`: one producer
+/// per ring is what makes the ring SPSC. Handles from an inactive hub
+/// are inert.
 #[derive(Debug)]
-pub struct HubWorker;
+pub struct HubWorker {
+    inner: Option<Arc<HubInner>>,
+    index: usize,
+}
 
-#[cfg(not(feature = "trace"))]
 impl HubWorker {
-    /// Always 0.
-    #[inline(always)]
+    /// The slot index this handle publishes to.
     pub fn index(&self) -> usize {
-        0
+        self.index
     }
 
-    /// Does nothing.
-    #[inline(always)]
-    pub fn publish(&self, _beat: Beat) {}
+    /// Publishes one beat, stamped with the hub clock, into this
+    /// worker's ring. A full ring drops the beat and counts the drop —
+    /// the hot path never waits. Publish cost is self-measured into
+    /// [`HubOverhead::publish_ns`]. Does nothing on an inert handle.
+    pub fn publish(&self, beat: Beat) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let t0 = Instant::now();
+        let ring = &inner.rings[self.index];
+        let wall_us = t0.duration_since(inner.started).as_micros() as u64;
+        ring.push(beat.encode(wall_us));
+        ring.bill(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 #[cfg(test)]
@@ -758,8 +669,6 @@ mod tests {
             assert_eq!(snap.workers.len(), 0);
             assert_eq!(snap.epoch, 0);
             assert_eq!(hub.overhead(), HubOverhead::default());
-            assert_eq!(std::mem::size_of::<Hub>(), 0);
-            assert_eq!(std::mem::size_of::<HubWorker>(), 0);
         }
     }
 

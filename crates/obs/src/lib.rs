@@ -5,8 +5,8 @@
 //! - [`tracer`]: a feature-gated event tracer. With the `trace` feature
 //!   on, [`Tracer`] records typed events ([`EventKind`]) with monotonic
 //!   instruction timestamps in a fixed-capacity [`EventRing`]; with it
-//!   off, `Tracer` is zero-sized and every method is an empty
-//!   `#[inline(always)]` body — instrumented hot paths cost nothing.
+//!   off, `Tracer` holds an unallocated ring and `emit` returns at
+//!   once — instrumented hot paths cost nothing.
 //! - [`profile`]: a feature-gated interval [`Profiler`] attributing
 //!   misses/migrations/`F` dynamics to fixed instruction windows
 //!   ([`ProfileRecord`]), with pair-merge decimation so long runs stay
@@ -16,9 +16,9 @@
 //!
 //! Host time (where the simulator's own wall clock goes):
 //!
-//! - `spsc` (`trace` only): `SeqRing`, the one lock-free
+//! - [`spsc`]: `SeqRing`, the one lock-free
 //!   single-producer/single-consumer ring both live channels below
-//!   ride on.
+//!   ride on, and `Aggregator`, their shared cold-side merge state.
 //! - [`hub`]: the live-telemetry [`Hub`] — per-worker progress
 //!   [`Beat`]s with an epoch'd snapshot merge.
 //! - [`wall`]: the wall-clock flight recorder — causal spans
@@ -30,8 +30,11 @@
 //! - [`span`]: a plain [`Stopwatch`] and the per-task [`Span`] record
 //!   of the parallel runner.
 //!
-//! The hub and the wall are zero-sized no-ops without `trace`, like
-//! [`Tracer`]/[`Profiler`]; the default build never compiles the ring.
+//! [`Tracer`], [`Profiler`], [`Hub`], [`Wall`] and the [`wall::span`]
+//! guards each have one implementation gated by an `ACTIVE` constant,
+//! `cfg!(feature = "trace")`: without the feature they are built empty
+//! (no allocation) and record nothing, and call sites outside obs gate
+//! on `ACTIVE` (lints E006/E010/E011/E015).
 //!
 //! Output and serving:
 //!
@@ -65,7 +68,6 @@ pub mod profile;
 pub mod ring;
 pub mod serve;
 pub mod span;
-#[cfg(feature = "trace")]
 pub mod spsc;
 pub mod tracer;
 pub mod wall;

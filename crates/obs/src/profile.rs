@@ -18,10 +18,12 @@
 //! degrades, by one power of two per decimation.
 //!
 //! **Zero cost when off.** Like [`crate::Tracer`], `Profiler` follows
-//! the `trace`-feature discipline: without the feature it is a
-//! zero-sized type, [`Profiler::ACTIVE`] is `false`, and every method
-//! is an empty `#[inline(always)]` body. Hot paths guard sampling with
-//! `if Profiler::ACTIVE { … }` so the whole block is dead code in
+//! the `trace`-feature discipline with one implementation:
+//! [`Profiler::ACTIVE`] is `cfg!(feature = "trace")`, and without the
+//! feature the profiler keeps an empty record buffer, is never
+//! [due](Profiler::sample_due) and ignores
+//! [`record_sample`](Profiler::record_sample). Hot paths guard sampling
+//! with `if Profiler::ACTIVE { … }` so the whole block is dead code in
 //! default builds (lint rule E010 enforces the gate).
 
 use crate::json::{Json, ToJson};
@@ -243,25 +245,7 @@ impl ProfileRecord {
     }
 }
 
-/// Serialises a profile as one JSON object: sampler settings, the
-/// decimation state, and the record array. Shared by both `Profiler`
-/// variants so exported artefacts have one shape.
-fn profile_json(
-    config: ProfileConfig,
-    effective_period: u64,
-    decimations: u32,
-    records: &[ProfileRecord],
-) -> Json {
-    Json::object()
-        .field("period", config.period)
-        .field("capacity", config.capacity)
-        .field("effective_period", effective_period)
-        .field("decimations", decimations)
-        .field("records", records)
-}
-
 /// Interval sampler, recording when the `trace` feature is enabled.
-#[cfg(feature = "trace")]
 #[derive(Debug, Clone)]
 pub struct Profiler {
     config: ProfileConfig,
@@ -274,13 +258,13 @@ pub struct Profiler {
     decimations: u32,
 }
 
-#[cfg(feature = "trace")]
 impl Profiler {
     /// Compile-time flag: true in `trace` builds. Hot paths guard
     /// sampling with this so it vanishes from default builds (E010).
-    pub const ACTIVE: bool = true;
+    pub const ACTIVE: bool = cfg!(feature = "trace");
 
-    /// A profiler with the given sizing.
+    /// A profiler with the given sizing (recording nothing, and
+    /// allocating nothing, when inactive).
     ///
     /// # Panics
     ///
@@ -311,24 +295,33 @@ impl Profiler {
     /// loops rely on this to cut a block of monotone events at
     /// [`next_due`](Self::next_due) and test only the cut's **last**
     /// event, so samples land on exactly the events a per-step loop
-    /// would have sampled.
+    /// would have sampled. Never true when inactive.
     #[inline]
     pub fn sample_due(&self, instructions_now: u64) -> bool {
-        instructions_now >= self.next_due
+        Self::ACTIVE && instructions_now >= self.next_due
     }
 
     /// The instruction count at which the next sample falls due — the
     /// boundary [`sample_due`](Self::sample_due) compares against.
     /// Lets a block-stepping caller size its next block to end at the
-    /// boundary without probing `sample_due` per event.
+    /// boundary without probing `sample_due` per event. `u64::MAX`
+    /// (no boundary ever falls due) when inactive.
     #[inline]
     pub fn next_due(&self) -> u64 {
-        self.next_due
+        if Self::ACTIVE {
+            self.next_due
+        } else {
+            u64::MAX
+        }
     }
 
     /// Closes the current interval at `now` (a cumulative snapshot the
-    /// caller assembles) and schedules the next boundary.
+    /// caller assembles) and schedules the next boundary. Does
+    /// nothing when inactive.
     pub fn record_sample(&mut self, now: &ProfileCumulative) {
+        if !Self::ACTIVE {
+            return;
+        }
         self.records.push(ProfileRecord::between(&self.last, now));
         self.last = *now;
         if self.records.len() >= self.config.capacity {
@@ -379,85 +372,16 @@ impl Profiler {
     }
 }
 
-#[cfg(feature = "trace")]
+/// One JSON object: sampler settings, the decimation state, and the
+/// record array.
 impl ToJson for Profiler {
     fn to_json(&self) -> Json {
-        profile_json(self.config, self.period, self.decimations, &self.records)
-    }
-}
-
-/// No-op stand-in compiled when the `trace` feature is off.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone)]
-pub struct Profiler;
-
-#[cfg(not(feature = "trace"))]
-impl Profiler {
-    /// Compile-time flag: false without the `trace` feature.
-    pub const ACTIVE: bool = false;
-
-    /// Ignores the sizing; the no-op profiler stores nothing.
-    #[inline(always)]
-    pub fn with_config(_config: ProfileConfig) -> Self {
-        Profiler
-    }
-
-    /// Never due.
-    #[inline(always)]
-    pub fn sample_due(&self, _instructions_now: u64) -> bool {
-        false
-    }
-
-    /// No boundary ever falls due: the horizon.
-    #[inline(always)]
-    pub fn next_due(&self) -> u64 {
-        u64::MAX
-    }
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn record_sample(&mut self, _now: &ProfileCumulative) {}
-
-    /// Always empty.
-    #[inline(always)]
-    pub fn records(&self) -> &[ProfileRecord] {
-        &[]
-    }
-
-    /// The default sizing (nothing is stored either way).
-    #[inline(always)]
-    pub fn config(&self) -> ProfileConfig {
-        ProfileConfig::default()
-    }
-
-    /// The configured period, undoubled.
-    #[inline(always)]
-    pub fn effective_period(&self) -> u64 {
-        ProfileConfig::default().period
-    }
-
-    /// Always zero.
-    #[inline(always)]
-    pub fn decimations(&self) -> u32 {
-        0
-    }
-
-    /// Always true.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-impl ToJson for Profiler {
-    fn to_json(&self) -> Json {
-        profile_json(
-            ProfileConfig::default(),
-            ProfileConfig::default().period,
-            0,
-            &[],
-        )
+        Json::object()
+            .field("period", self.config.period)
+            .field("capacity", self.config.capacity)
+            .field("effective_period", self.period)
+            .field("decimations", self.decimations)
+            .field("records", &self.records)
     }
 }
 
@@ -542,7 +466,6 @@ mod tests {
         } else {
             assert!(p.records().is_empty());
             assert!(p.is_empty());
-            assert_eq!(std::mem::size_of::<Profiler>(), 0);
         }
     }
 

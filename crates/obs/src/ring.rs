@@ -35,6 +35,17 @@ impl EventRing {
         }
     }
 
+    /// A ring with no storage, for the inactive
+    /// [`Tracer`](crate::Tracer), which never pushes to it.
+    pub(crate) const fn unallocated() -> Self {
+        EventRing {
+            buf: Vec::new(),
+            capacity: 0,
+            head: 0,
+            dropped: 0,
+        }
+    }
+
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
         self.capacity

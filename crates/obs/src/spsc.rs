@@ -27,7 +27,8 @@
 //! (the release head store weakened to relaxed) and `execmig_torn_slot`
 //! (record word 3 stored after the head bump).
 
-use crate::model::sync::{AtomicBool, AtomicU64, Ordering};
+use crate::model::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering};
+use std::time::Instant;
 
 /// A bounded SPSC ring of `W`-word records. The last word of each
 /// record is the ring's sequence stamp; schemas leave it zero.
@@ -195,6 +196,57 @@ impl<const W: usize> SeqRing<W> {
     }
 }
 
+/// The cold side of a set of rings: the owner's merged data `A` and
+/// merge self-accounting behind one mutex that producers never take.
+pub(crate) struct Aggregator<A> {
+    state: Mutex<Merged<A>>,
+}
+
+/// An [`Aggregator`]'s guarded state.
+pub(crate) struct Merged<A> {
+    /// The owner's merged data.
+    pub data: A,
+    /// Merges performed; snapshots report it as their epoch.
+    pub epoch: u64,
+    /// Nanoseconds spent inside merges.
+    pub merge_ns: u64,
+}
+
+impl<A> Aggregator<A> {
+    /// An aggregator starting from `data`, epoch 0.
+    pub fn new(data: A) -> Self {
+        Aggregator {
+            state: Mutex::new(Merged {
+                data,
+                epoch: 0,
+                merge_ns: 0,
+            }),
+        }
+    }
+
+    /// Locks the merged state, recovering a lock poisoned by a
+    /// panicking reader: telemetry must not take the run down.
+    pub fn lock(&self) -> MutexGuard<'_, Merged<A>> {
+        match self.state.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// One merge: locks, folds new records into the data with `fold`,
+    /// bumps the epoch and bills the time since the call into
+    /// `merge_ns`. Returns the guard, so the caller renders its
+    /// snapshot from the state it just merged.
+    pub fn merge(&self, fold: impl FnOnce(&mut A)) -> MutexGuard<'_, Merged<A>> {
+        let t0 = Instant::now();
+        let mut merged = self.lock();
+        fold(&mut merged.data);
+        merged.epoch += 1;
+        merged.merge_ns += t0.elapsed().as_nanos() as u64;
+        merged
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +286,26 @@ mod tests {
                 billed_ns: 40,
             }
         );
+    }
+
+    #[test]
+    fn aggregator_counts_merges_and_survives_poison() {
+        let agg = Aggregator::new(0u64);
+        for _ in 0..3 {
+            drop(agg.merge(|n| *n += 2));
+        }
+        let merged = agg.lock();
+        assert_eq!((merged.data, merged.epoch), (6, 3));
+        drop(merged);
+        // A reader that panics while holding the lock poisons it; the
+        // next merge still runs on the same state.
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = agg.lock();
+            panic!("reader panics mid-merge");
+        }));
+        assert!(poisoned.is_err());
+        assert_eq!(agg.merge(|n| *n += 1).epoch, 4);
+        assert_eq!(agg.lock().data, 7);
     }
 
     #[test]

@@ -1,45 +1,50 @@
-//! The feature-gated event tracer.
+//! The event tracer.
 //!
-//! With the `trace` feature on, [`Tracer`] wraps an [`EventRing`] and
-//! records every emitted event. With it off, `Tracer` is a zero-sized
-//! type whose methods are empty `#[inline(always)]` bodies and whose
-//! [`Tracer::ACTIVE`] constant is `false` — instrumentation sites guard
-//! any delta bookkeeping behind `if Tracer::ACTIVE`, so the whole block
-//! is dead code the optimiser removes. The contract: **with `trace`
-//! off, instrumented hot paths cost nothing.**
+//! [`Tracer`] wraps an [`EventRing`] and records every emitted event
+//! when the `trace` feature is on. There is one implementation either
+//! way: [`Tracer::ACTIVE`] is `cfg!(feature = "trace")`, and without
+//! the feature the tracer is built with an unallocated ring and
+//! [`Tracer::emit`] returns at once. Instrumentation sites guard any
+//! delta bookkeeping behind `if Tracer::ACTIVE`, so the whole block is
+//! dead code the optimiser removes. The contract: **with `trace` off,
+//! instrumented hot paths cost nothing.**
 
 use crate::event::{EventKind, TraceEvent};
-#[cfg(feature = "trace")]
 use crate::ring::EventRing;
 
 /// Default ring capacity used by [`Tracer::default`].
 pub const DEFAULT_CAPACITY: usize = 64 << 10;
 
 /// Records typed events when the `trace` feature is enabled.
-#[cfg(feature = "trace")]
 #[derive(Debug, Clone)]
 pub struct Tracer {
     ring: EventRing,
 }
 
-#[cfg(feature = "trace")]
 impl Tracer {
     /// Compile-time flag: true in `trace` builds. Guard per-event
     /// bookkeeping (stat deltas, timestamp reads) with this so it
     /// vanishes from non-trace builds.
-    pub const ACTIVE: bool = true;
+    pub const ACTIVE: bool = cfg!(feature = "trace");
 
-    /// A tracer retaining at most `capacity` events.
+    /// A tracer retaining at most `capacity` events (nothing, and no
+    /// allocation, when inactive).
     pub fn with_capacity(capacity: usize) -> Self {
         Tracer {
-            ring: EventRing::new(capacity),
+            ring: if Self::ACTIVE {
+                EventRing::new(capacity)
+            } else {
+                EventRing::unallocated()
+            },
         }
     }
 
     /// Records `kind` at instruction count `at`.
     #[inline]
     pub fn emit(&mut self, at: u64, kind: EventKind) {
-        self.ring.push(TraceEvent { at, kind });
+        if Self::ACTIVE {
+            self.ring.push(TraceEvent { at, kind });
+        }
     }
 
     /// Retained events, oldest first.
@@ -65,57 +70,6 @@ impl Tracer {
     /// True when no event is retained.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-}
-
-/// No-op stand-in compiled when the `trace` feature is off.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone)]
-pub struct Tracer;
-
-#[cfg(not(feature = "trace"))]
-impl Tracer {
-    /// Compile-time flag: false without the `trace` feature.
-    pub const ACTIVE: bool = false;
-
-    /// Ignores the capacity; the no-op tracer stores nothing.
-    #[inline(always)]
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Tracer
-    }
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn emit(&mut self, _at: u64, _kind: EventKind) {}
-
-    /// Always empty.
-    #[inline(always)]
-    pub fn events(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    /// Always zero.
-    #[inline(always)]
-    pub fn dropped(&self) -> u64 {
-        0
-    }
-
-    /// Always zero.
-    #[inline(always)]
-    pub fn emitted(&self) -> u64 {
-        0
-    }
-
-    /// Always zero.
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        0
-    }
-
-    /// Always true.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        true
     }
 }
 
@@ -159,11 +113,5 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
         assert_eq!(t.events().last().unwrap().at, 4);
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn disabled_tracer_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<Tracer>(), 0);
     }
 }

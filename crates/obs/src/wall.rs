@@ -32,9 +32,11 @@
 //! as [`WallOverhead`], and [`WallSnapshot::budget_verdict`] rates it
 //! against the wall's uptime with the shared [`Budget`].
 //!
-//! **Zero cost when off.** Without the `trace` feature [`Wall`],
-//! [`WallThread`], and [`ScopedSpan`] are zero-sized, every method is
-//! an empty `#[inline(always)]` body, and [`Wall::ACTIVE`] is `false`.
+//! **Zero cost when off.** One implementation serves both builds:
+//! [`Wall::ACTIVE`] is `cfg!(feature = "trace")`, and without the
+//! feature a [`Wall`] is built empty (no slots, no allocation), hands
+//! out inert [`WallThread`]s, and [`span`]/[`current_id`] return at
+//! once without touching the thread-local context.
 //!
 //! **Span-family registry.** Every span family string must come from
 //! [`families`] (lint rule E014): the constants are the authority
@@ -43,8 +45,11 @@
 
 use crate::budget::{Budget, BudgetVerdict};
 use crate::json::{Json, ToJson};
-#[cfg(feature = "trace")]
 use crate::metrics::Histogram;
+use crate::model::sync::{Arc, AtomicU64, Ordering};
+use crate::spsc::{Aggregator, Merged, SeqRing};
+use std::cell::{Cell, RefCell};
+use std::time::Instant;
 
 /// The registered span-family table.
 ///
@@ -277,151 +282,156 @@ impl ToJson for WallSnapshot {
     }
 }
 
-#[cfg(feature = "trace")]
-mod real {
-    use super::*;
-    use crate::model::sync::{Arc, AtomicU64, Mutex, Ordering};
-    use crate::spsc::SeqRing;
-    use std::cell::{Cell, RefCell};
-    use std::time::Instant;
+/// One thread's live span stack, read by the flight-recorder sampler.
+struct LiveStack {
+    /// Stack depth (may exceed `MAX_LIVE_DEPTH`; the sampler caps its
+    /// read).
+    depth: AtomicU64,
+    /// Family index + 1 per frame, outermost first.
+    frames: [AtomicU64; MAX_LIVE_DEPTH],
+}
 
-    /// One thread's live span stack, read by the flight-recorder
-    /// sampler.
-    struct LiveStack {
-        /// Stack depth (may exceed `MAX_LIVE_DEPTH`; the sampler caps
-        /// its read).
-        depth: AtomicU64,
-        /// Family index + 1 per frame, outermost first.
-        frames: [AtomicU64; MAX_LIVE_DEPTH],
+/// Cold-side merged data (never touched by the span hot path).
+struct WallAgg {
+    /// Parallel to `families::ALL`; each also sums its durations.
+    hists: Vec<Histogram>,
+    retained: Vec<RetainedSpan>,
+    retained_dropped: u64,
+    collapsed: Vec<(String, u64)>,
+    samples: u64,
+    sample_ns: u64,
+}
+
+struct WallInner {
+    started: Instant,
+    retained_cap: usize,
+    /// One span ring per thread slot.
+    rings: Vec<SeqRing<SPAN_WORDS>>,
+    /// Parallel to `rings`.
+    stacks: Vec<LiveStack>,
+    agg: Aggregator<WallAgg>,
+}
+
+impl std::fmt::Debug for WallInner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WallInner")
+            .field("threads", &self.rings.len())
+            .finish_non_exhaustive()
     }
+}
 
-    /// Cold-side merge state, guarded by one mutex (never touched by
-    /// the span hot path).
-    struct AggState {
-        epoch: u64,
-        /// Parallel to `families::ALL`.
-        hists: Vec<Histogram>,
-        totals: Vec<u64>,
-        retained: Vec<RetainedSpan>,
-        retained_dropped: u64,
-        collapsed: Vec<(String, u64)>,
-        merges: u64,
-        merge_ns: u64,
-        samples: u64,
-        sample_ns: u64,
+impl WallInner {
+    fn overhead(&self, merged: &Merged<WallAgg>) -> WallOverhead {
+        let rings = SeqRing::totals(&self.rings);
+        WallOverhead {
+            spans: rings.accepted,
+            dropped: rings.dropped,
+            retained_dropped: merged.data.retained_dropped,
+            bytes: rings.bytes,
+            record_ns: rings.billed_ns,
+            merges: merged.epoch,
+            merge_ns: merged.merge_ns,
+            samples: merged.data.samples,
+            sample_ns: merged.data.sample_ns,
+        }
     }
+}
 
-    struct WallInner {
-        started: Instant,
-        retained_cap: usize,
-        /// One span ring per thread slot.
-        rings: Vec<SeqRing<SPAN_WORDS>>,
-        /// Parallel to `rings`.
-        stacks: Vec<LiveStack>,
-        agg: Mutex<AggState>,
-    }
+/// The wall-clock flight recorder.
+///
+/// Cheap to clone — clones share the same rings and merge state.
+/// Inactive (without `trace`) it is built empty: no thread slots, no
+/// shared state, inert thread handles, and an empty epoch-0 snapshot.
+#[derive(Debug, Clone)]
+pub struct Wall {
+    /// `None` exactly when the wall is inactive.
+    inner: Option<Arc<WallInner>>,
+}
 
-    /// The wall-clock flight recorder (real variant, `trace` on).
+impl Wall {
+    /// Compile-time flag: true in `trace` builds.
+    pub const ACTIVE: bool = cfg!(feature = "trace");
+
+    /// A wall with `threads` slots and `ring_capacity` buffered spans
+    /// per thread (none, and no allocation, when inactive).
     ///
-    /// Cheap to clone — clones share the same rings and merge state.
-    #[derive(Clone)]
-    pub struct Wall {
-        inner: Arc<WallInner>,
-    }
-
-    impl std::fmt::Debug for Wall {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Wall")
-                .field("threads", &self.inner.rings.len())
-                .finish()
+    /// # Panics
+    ///
+    /// Panics if `ring_capacity < 2`.
+    pub fn new(threads: usize, ring_capacity: usize) -> Wall {
+        assert!(ring_capacity >= 2, "span ring capacity must be ≥ 2");
+        if !Self::ACTIVE {
+            return Wall { inner: None };
         }
-    }
-
-    impl Wall {
-        /// Compile-time flag: true in `trace` builds.
-        pub const ACTIVE: bool = true;
-
-        /// A wall with `threads` slots and `ring_capacity` buffered
-        /// spans per thread.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `ring_capacity < 2`.
-        pub fn new(threads: usize, ring_capacity: usize) -> Wall {
-            assert!(ring_capacity >= 2, "span ring capacity must be ≥ 2");
-            Wall {
-                inner: Arc::new(WallInner {
-                    started: Instant::now(),
-                    retained_cap: DEFAULT_RETAINED_SPANS,
-                    rings: (0..threads).map(|_| SeqRing::new(ring_capacity)).collect(),
-                    stacks: (0..threads)
-                        .map(|_| LiveStack {
-                            depth: AtomicU64::new(0),
-                            frames: std::array::from_fn(|_| AtomicU64::new(0)),
-                        })
-                        .collect(),
-                    agg: Mutex::new(AggState {
-                        epoch: 0,
-                        hists: families::ALL.iter().map(|_| Histogram::new()).collect(),
-                        totals: vec![0; families::ALL.len()],
-                        retained: Vec::new(),
-                        retained_dropped: 0,
-                        collapsed: Vec::new(),
-                        merges: 0,
-                        merge_ns: 0,
-                        samples: 0,
-                        sample_ns: 0,
-                    }),
+        Wall {
+            inner: Some(Arc::new(WallInner {
+                started: Instant::now(),
+                retained_cap: DEFAULT_RETAINED_SPANS,
+                rings: (0..threads).map(|_| SeqRing::new(ring_capacity)).collect(),
+                stacks: (0..threads)
+                    .map(|_| LiveStack {
+                        depth: AtomicU64::new(0),
+                        frames: std::array::from_fn(|_| AtomicU64::new(0)),
+                    })
+                    .collect(),
+                agg: Aggregator::new(WallAgg {
+                    hists: families::ALL.iter().map(|_| Histogram::new()).collect(),
+                    retained: Vec::new(),
+                    retained_dropped: 0,
+                    collapsed: Vec::new(),
+                    samples: 0,
+                    sample_ns: 0,
                 }),
-            }
+            })),
         }
+    }
 
-        /// A wall with the default ring capacity.
-        pub fn with_threads(threads: usize) -> Wall {
-            Wall::new(threads, DEFAULT_SPAN_RING_CAPACITY)
-        }
+    /// A wall with the default ring capacity.
+    pub fn with_threads(threads: usize) -> Wall {
+        Wall::new(threads, DEFAULT_SPAN_RING_CAPACITY)
+    }
 
-        /// Thread slots configured.
-        pub fn threads(&self) -> usize {
-            self.inner.rings.len()
-        }
+    /// Thread slots configured (0 when inactive).
+    pub fn threads(&self) -> usize {
+        self.inner.as_ref().map_or(0, |i| i.rings.len())
+    }
 
-        /// ns since the wall was created (the clock spans are stamped
-        /// with).
-        pub fn now_ns(&self) -> u64 {
-            self.inner.started.elapsed().as_nanos() as u64
-        }
+    /// ns since the wall was created (the clock spans are stamped
+    /// with); 0 when inactive.
+    pub fn now_ns(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.started.elapsed().as_nanos() as u64)
+    }
 
-        /// Claims thread slot `index`'s producer handle. Each slot has
-        /// exactly one producer: the first claim wins, later claims
-        /// (and out-of-range indices) get `None`.
-        pub fn thread(&self, index: usize) -> Option<WallThread> {
-            if !self.inner.rings.get(index)?.claim() {
+    /// Claims thread slot `index`'s producer handle. Each slot has
+    /// exactly one producer: the first claim wins, later claims (and
+    /// out-of-range indices) get `None`. Inactive, every call gets an
+    /// inert handle and claims nothing.
+    pub fn thread(&self, index: usize) -> Option<WallThread> {
+        if let Some(inner) = &self.inner {
+            if !inner.rings.get(index)?.claim() {
                 return None;
             }
-            Some(WallThread {
-                inner: Arc::clone(&self.inner),
-                index,
-                stack: RefCell::new(Vec::new()),
-                next_id: Cell::new(0),
-            })
         }
+        Some(WallThread {
+            inner: self.inner.clone(),
+            index,
+            stack: RefCell::new(Vec::new()),
+            next_id: Cell::new(0),
+        })
+    }
 
-        fn agg_lock(&self) -> crate::model::sync::MutexGuard<'_, AggState> {
-            match self.inner.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            }
-        }
-
-        /// Drains every ring into the per-family histograms and the
-        /// retained-span list, bumps the epoch, and returns the merged
-        /// view. Cold side only; producers never block on it.
-        pub fn snapshot(&self) -> WallSnapshot {
-            let t0 = Instant::now();
-            let mut agg = self.agg_lock();
-            let agg = &mut *agg;
-            for (thread, ring) in self.inner.rings.iter().enumerate() {
+    /// Drains every ring into the per-family histograms and the
+    /// retained-span list, bumps the epoch, and returns the merged
+    /// view (empty, epoch 0, when inactive). Cold side only; producers
+    /// never block on it.
+    pub fn snapshot(&self) -> WallSnapshot {
+        let Some(inner) = &self.inner else {
+            return WallSnapshot::default();
+        };
+        let merged = inner.agg.merge(|agg| {
+            for (thread, ring) in inner.rings.iter().enumerate() {
                 ring.drain(|&[id, parent, family, start_ns, dur_ns, _]| {
                     let fi = family as usize;
                     debug_assert!(fi < families::ALL.len(), "unregistered family index");
@@ -429,10 +439,7 @@ mod real {
                     if let Some(h) = agg.hists.get_mut(fi) {
                         h.observe(dur_ns);
                     }
-                    if let Some(t) = agg.totals.get_mut(fi) {
-                        *t = t.saturating_add(dur_ns);
-                    }
-                    if agg.retained.len() < self.inner.retained_cap {
+                    if agg.retained.len() < inner.retained_cap {
                         agg.retained.push(RetainedSpan {
                             id,
                             parent,
@@ -450,497 +457,334 @@ mod real {
                     }
                 });
             }
-            agg.epoch += 1;
-            agg.merges += 1;
-            agg.merge_ns += t0.elapsed().as_nanos() as u64;
-            let uptime_ns = self.now_ns();
-            WallSnapshot {
-                epoch: agg.epoch,
-                uptime_ns,
-                families: families::ALL
-                    .iter()
-                    .enumerate()
-                    .map(|(i, name)| FamilyStats {
-                        family: (*name).to_string(),
-                        count: agg.hists[i].count(),
-                        total_ns: agg.totals[i],
-                        p50_ns: agg.hists[i].quantile(0.50),
-                        p99_ns: agg.hists[i].quantile(0.99),
-                        p999_ns: agg.hists[i].quantile(0.999),
-                        max_ns: agg.hists[i].max(),
-                    })
-                    .collect(),
-                collapsed: agg
-                    .collapsed
-                    .iter()
-                    .map(|(stack, count)| StackCount {
-                        stack: stack.clone(),
-                        count: *count,
-                    })
-                    .collect(),
-                overhead: self.overhead_locked(agg),
-            }
-        }
-
-        /// One flight-recorder pass: reads every thread's live span
-        /// stack and folds the observed shapes into the collapsed-stack
-        /// counts. Returns how many non-empty stacks were observed.
-        /// Approximate by design — a stack mutating mid-read yields a
-        /// momentarily stale (never torn) frame.
-        pub fn sample_stacks(&self) -> usize {
-            let t0 = Instant::now();
-            let mut seen = 0usize;
-            let mut agg = self.agg_lock();
-            for live in &self.inner.stacks {
-                // ord: Acquire pairs with the producer's Release depth
-                // store in enter(): frames below `depth` were published
-                // before the depth became visible.
-                let depth = live.depth.load(Ordering::Acquire) as usize;
-                let depth = depth.min(MAX_LIVE_DEPTH);
-                if depth == 0 {
-                    continue;
-                }
-                let mut stack = String::new();
-                for entry in live.frames.iter().take(depth) {
-                    // ord: Relaxed — covered by the Acquire depth load;
-                    // a racing re-push can make this momentarily stale,
-                    // which sampling tolerates.
-                    let fam = entry.load(Ordering::Relaxed);
-                    let name = (fam as usize)
-                        .checked_sub(1)
-                        .and_then(|i| families::ALL.get(i).copied())
-                        .unwrap_or("unregistered");
-                    if !stack.is_empty() {
-                        stack.push(';');
-                    }
-                    stack.push_str(name);
-                }
-                seen += 1;
-                match agg.collapsed.iter_mut().find(|(s, _)| *s == stack) {
-                    Some((_, count)) => *count += 1,
-                    None => agg.collapsed.push((stack, 1)),
-                }
-            }
-            agg.samples += 1;
-            agg.sample_ns += t0.elapsed().as_nanos() as u64;
-            seen
-        }
-
-        /// Wall self-accounting so far (without forcing a merge).
-        pub fn overhead(&self) -> WallOverhead {
-            self.overhead_locked(&self.agg_lock())
-        }
-
-        fn overhead_locked(&self, agg: &AggState) -> WallOverhead {
-            let rings = SeqRing::totals(&self.inner.rings);
-            WallOverhead {
-                spans: rings.accepted,
-                dropped: rings.dropped,
-                retained_dropped: agg.retained_dropped,
-                bytes: rings.bytes,
-                record_ns: rings.billed_ns,
-                merges: agg.merges,
-                merge_ns: agg.merge_ns,
-                samples: agg.samples,
-                sample_ns: agg.sample_ns,
-            }
-        }
-
-        /// The retained closed spans (for Chrome export). Forces a
-        /// merge first so freshly closed spans are included.
-        pub fn spans(&self) -> Vec<RetainedSpan> {
-            let _ = self.snapshot();
-            self.agg_lock().retained.clone()
+        });
+        let agg = &merged.data;
+        WallSnapshot {
+            epoch: merged.epoch,
+            uptime_ns: self.now_ns(),
+            families: families::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, name)| FamilyStats {
+                    family: (*name).to_string(),
+                    count: agg.hists[i].count(),
+                    total_ns: agg.hists[i].sum(),
+                    p50_ns: agg.hists[i].quantile(0.50),
+                    p99_ns: agg.hists[i].quantile(0.99),
+                    p999_ns: agg.hists[i].quantile(0.999),
+                    max_ns: agg.hists[i].max(),
+                })
+                .collect(),
+            collapsed: agg
+                .collapsed
+                .iter()
+                .map(|(stack, count)| StackCount {
+                    stack: stack.clone(),
+                    count: *count,
+                })
+                .collect(),
+            overhead: inner.overhead(&merged),
         }
     }
 
-    /// A thread's producer handle (real variant). Deliberately not
-    /// `Clone`: one producer per ring is what makes the ring SPSC.
-    pub struct WallThread {
-        inner: Arc<WallInner>,
-        index: usize,
-        /// Open frames: `(id, parent, family index, start_ns)`.
-        stack: RefCell<Vec<(u64, u64, u64, u64)>>,
-        next_id: Cell<u64>,
-    }
-
-    impl std::fmt::Debug for WallThread {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("WallThread")
-                .field("index", &self.index)
-                .finish()
-        }
-    }
-
-    impl WallThread {
-        /// The slot index this handle records to.
-        pub fn index(&self) -> usize {
-            self.index
-        }
-
-        /// The id of the innermost open span, 0 when none.
-        pub fn current(&self) -> u64 {
-            self.stack.borrow().last().map_or(0, |f| f.0)
-        }
-
-        /// Opens a span of `family`, parented to the innermost open
-        /// span on this thread. Returns the span id (0 and records
-        /// nothing for unregistered families — lint E014 keeps that
-        /// branch unreachable in tree). Self-measured into
-        /// [`WallOverhead::record_ns`].
-        pub fn enter(&self, family: &'static str) -> u64 {
-            let parent = self.current();
-            self.enter_with_parent(family, parent)
-        }
-
-        /// Opens a span of `family` with an explicit parent id — the
-        /// cross-thread causality hook (e.g. runner tasks parented to
-        /// the driver's sweep span).
-        pub fn enter_with_parent(&self, family: &'static str, parent: u64) -> u64 {
-            let t0 = Instant::now();
-            let Some(fi) = families::index_of(family) else {
-                return 0;
-            };
-            let live = &self.inner.stacks[self.index];
-            let id = self.next_id.get() + 1;
-            self.next_id.set(id);
-            // Thread index in the high 16 bits keeps ids globally
-            // unique without any shared allocation.
-            let id = ((self.index as u64 + 1) << 48) | id;
-            let start_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
-            let depth = {
-                let mut stack = self.stack.borrow_mut();
-                let depth = stack.len();
-                stack.push((id, parent, fi as u64, start_ns));
-                depth
-            };
-            if depth < MAX_LIVE_DEPTH {
-                // ord: Relaxed — the Release depth store below
-                // publishes this entry to the sampler.
-                live.frames[depth].store(fi as u64 + 1, Ordering::Relaxed);
-            }
-            // ord: Release pairs with the sampler's Acquire depth load
-            // in sample_stacks(): the entry above is visible before the
-            // deeper stack is.
-            live.depth.store(depth as u64 + 1, Ordering::Release);
-            self.inner.rings[self.index].bill(t0.elapsed().as_nanos() as u64);
-            id
-        }
-
-        /// Closes the innermost open span and pushes its record into
-        /// this thread's ring. A full ring drops the record and counts
-        /// the drop — the hot path never waits.
-        ///
-        /// `id` is the value [`enter`](Self::enter) returned; a
-        /// mismatch (unbalanced guards) still closes the innermost
-        /// frame, keeping the stack consistent. `id == 0` is a no-op.
-        pub fn exit(&self, id: u64) {
-            if id == 0 {
-                return;
-            }
-            let t0 = Instant::now();
-            let Some((span_id, parent, fi, start_ns)) = self.stack.borrow_mut().pop() else {
-                return;
-            };
-            debug_assert_eq!(span_id, id, "span guards must close LIFO");
-            self.publish_depth();
-            let end_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
-            let dur_ns = end_ns.saturating_sub(start_ns);
-            let ring = &self.inner.rings[self.index];
-            ring.push([span_id, parent, fi, start_ns, dur_ns, 0]);
-            ring.bill(t0.elapsed().as_nanos() as u64);
-        }
-
-        /// Discards the innermost open span without recording it (used
-        /// when a span turns out to cover nothing, e.g. a task claim
-        /// that found the queue empty). `id == 0` is a no-op.
-        pub fn cancel(&self, id: u64) {
-            if id == 0 {
-                return;
-            }
-            let popped = self.stack.borrow_mut().pop();
-            debug_assert!(
-                popped.is_none_or(|f| f.0 == id),
-                "span guards must close LIFO"
-            );
-            self.publish_depth();
-        }
-
-        /// Shrinks the sampled live stack to the open-frame count.
-        fn publish_depth(&self) {
-            let depth = self.stack.borrow().len() as u64;
-            let live = &self.inner.stacks[self.index];
-            // ord: Release — frames at or above the new depth are dead
-            // to the sampler once it loads this depth.
-            live.depth.store(depth, Ordering::Release);
-        }
-    }
-}
-
-#[cfg(feature = "trace")]
-pub use real::{Wall, WallThread};
-
-/// No-op wall compiled without the `trace` feature: zero-sized, every
-/// method an empty `#[inline(always)]` body.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone)]
-pub struct Wall;
-
-#[cfg(not(feature = "trace"))]
-impl Wall {
-    /// Compile-time flag: false without the `trace` feature.
-    pub const ACTIVE: bool = false;
-
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn new(_threads: usize, _ring_capacity: usize) -> Wall {
-        Wall
-    }
-
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn with_threads(_threads: usize) -> Wall {
-        Wall
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn threads(&self) -> usize {
-        0
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn now_ns(&self) -> u64 {
-        0
-    }
-
-    /// Always a no-op handle (recording to it does nothing).
-    #[inline(always)]
-    pub fn thread(&self, _index: usize) -> Option<WallThread> {
-        Some(WallThread)
-    }
-
-    /// Always empty, epoch 0.
-    #[inline(always)]
-    pub fn snapshot(&self) -> WallSnapshot {
-        WallSnapshot::default()
-    }
-
-    /// Always 0.
-    #[inline(always)]
+    /// One flight-recorder pass: reads every thread's live span stack
+    /// and folds the observed shapes into the collapsed-stack counts.
+    /// Returns how many non-empty stacks were observed (0 when
+    /// inactive). Approximate by design — a stack mutating mid-read
+    /// yields a momentarily stale (never torn) frame.
     pub fn sample_stacks(&self) -> usize {
-        0
+        let Some(inner) = &self.inner else {
+            return 0;
+        };
+        let t0 = Instant::now();
+        let mut seen = 0usize;
+        let mut merged = inner.agg.lock();
+        let agg = &mut merged.data;
+        for live in &inner.stacks {
+            // ord: Acquire pairs with the producer's Release depth store
+            // in enter(): frames below `depth` were published before the
+            // depth became visible.
+            let depth = live.depth.load(Ordering::Acquire) as usize;
+            let depth = depth.min(MAX_LIVE_DEPTH);
+            if depth == 0 {
+                continue;
+            }
+            let mut stack = String::new();
+            for entry in live.frames.iter().take(depth) {
+                // ord: Relaxed — covered by the Acquire depth load; a
+                // racing re-push can make this momentarily stale, which
+                // sampling tolerates.
+                let fam = entry.load(Ordering::Relaxed);
+                let name = (fam as usize)
+                    .checked_sub(1)
+                    .and_then(|i| families::ALL.get(i).copied())
+                    .unwrap_or("unregistered");
+                if !stack.is_empty() {
+                    stack.push(';');
+                }
+                stack.push_str(name);
+            }
+            seen += 1;
+            match agg.collapsed.iter_mut().find(|(s, _)| *s == stack) {
+                Some((_, count)) => *count += 1,
+                None => agg.collapsed.push((stack, 1)),
+            }
+        }
+        agg.samples += 1;
+        agg.sample_ns += t0.elapsed().as_nanos() as u64;
+        seen
     }
 
-    /// Always zero.
-    #[inline(always)]
+    /// Wall self-accounting so far (without forcing a merge); zero when
+    /// inactive.
     pub fn overhead(&self) -> WallOverhead {
-        WallOverhead::default()
+        self.inner
+            .as_ref()
+            .map_or_else(WallOverhead::default, |i| i.overhead(&i.agg.lock()))
     }
 
-    /// Always empty.
-    #[inline(always)]
+    /// The retained closed spans (for Chrome export). Forces a merge
+    /// first so freshly closed spans are included. Empty when inactive.
     pub fn spans(&self) -> Vec<RetainedSpan> {
-        Vec::new()
+        let _ = self.snapshot();
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.agg.lock().data.retained.clone())
     }
 }
 
-/// No-op producer handle compiled without the `trace` feature.
-#[cfg(not(feature = "trace"))]
+/// A thread's producer handle. Deliberately not `Clone`: one producer
+/// per ring is what makes the ring SPSC. Handles from an inactive wall
+/// are inert: they open no spans and record nothing.
 #[derive(Debug)]
-pub struct WallThread;
-
-#[cfg(not(feature = "trace"))]
-impl WallThread {
-    /// Always 0.
-    #[inline(always)]
-    pub fn index(&self) -> usize {
-        0
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn current(&self) -> u64 {
-        0
-    }
-
-    /// Does nothing; always 0.
-    #[inline(always)]
-    pub fn enter(&self, _family: &'static str) -> u64 {
-        0
-    }
-
-    /// Does nothing; always 0.
-    #[inline(always)]
-    pub fn enter_with_parent(&self, _family: &'static str, _parent: u64) -> u64 {
-        0
-    }
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn exit(&self, _id: u64) {}
-
-    /// Does nothing.
-    #[inline(always)]
-    pub fn cancel(&self, _id: u64) {}
+pub struct WallThread {
+    inner: Option<Arc<WallInner>>,
+    index: usize,
+    /// Open frames: `(id, parent, family index, start_ns)`.
+    stack: RefCell<Vec<(u64, u64, u64, u64)>>,
+    next_id: Cell<u64>,
 }
 
-// ---------------------------------------------------------------------
+impl WallThread {
+    /// The slot index this handle records to.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// The id of the innermost open span, 0 when none.
+    pub fn current(&self) -> u64 {
+        self.stack.borrow().last().map_or(0, |f| f.0)
+    }
+
+    /// Opens a span of `family`, parented to the innermost open span on
+    /// this thread. Returns the span id (0 and records nothing for
+    /// unregistered families — lint E014 keeps that branch unreachable
+    /// in tree — and on an inert handle). Self-measured into
+    /// [`WallOverhead::record_ns`].
+    pub fn enter(&self, family: &'static str) -> u64 {
+        let parent = self.current();
+        self.enter_with_parent(family, parent)
+    }
+
+    /// Opens a span of `family` with an explicit parent id — the
+    /// cross-thread causality hook (e.g. runner tasks parented to the
+    /// driver's sweep span).
+    pub fn enter_with_parent(&self, family: &'static str, parent: u64) -> u64 {
+        let Some(inner) = &self.inner else {
+            return 0;
+        };
+        let t0 = Instant::now();
+        let Some(fi) = families::index_of(family) else {
+            return 0;
+        };
+        let live = &inner.stacks[self.index];
+        let id = self.next_id.get() + 1;
+        self.next_id.set(id);
+        // Thread index in the high 16 bits keeps ids globally unique
+        // without any shared allocation.
+        let id = ((self.index as u64 + 1) << 48) | id;
+        let start_ns = t0.duration_since(inner.started).as_nanos() as u64;
+        let depth = {
+            let mut stack = self.stack.borrow_mut();
+            let depth = stack.len();
+            stack.push((id, parent, fi as u64, start_ns));
+            depth
+        };
+        if depth < MAX_LIVE_DEPTH {
+            // ord: Relaxed — the Release depth store below publishes
+            // this entry to the sampler.
+            live.frames[depth].store(fi as u64 + 1, Ordering::Relaxed);
+        }
+        // ord: Release pairs with the sampler's Acquire depth load in
+        // sample_stacks(): the entry above is visible before the deeper
+        // stack is.
+        live.depth.store(depth as u64 + 1, Ordering::Release);
+        inner.rings[self.index].bill(t0.elapsed().as_nanos() as u64);
+        id
+    }
+
+    /// Closes the innermost open span and pushes its record into this
+    /// thread's ring. A full ring drops the record and counts the drop
+    /// — the hot path never waits.
+    ///
+    /// `id` is the value [`enter`](Self::enter) returned; a mismatch
+    /// (unbalanced guards) still closes the innermost frame, keeping
+    /// the stack consistent. `id == 0` is a no-op.
+    pub fn exit(&self, id: u64) {
+        let Some(inner) = self.recording(id) else {
+            return;
+        };
+        let t0 = Instant::now();
+        let Some((span_id, parent, fi, start_ns)) = self.stack.borrow_mut().pop() else {
+            return;
+        };
+        debug_assert_eq!(span_id, id, "span guards must close LIFO");
+        self.publish_depth(inner);
+        let end_ns = t0.duration_since(inner.started).as_nanos() as u64;
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        let ring = &inner.rings[self.index];
+        ring.push([span_id, parent, fi, start_ns, dur_ns, 0]);
+        ring.bill(t0.elapsed().as_nanos() as u64);
+    }
+
+    /// Discards the innermost open span without recording it (used when
+    /// a span turns out to cover nothing, e.g. a task claim that found
+    /// the queue empty). `id == 0` is a no-op.
+    pub fn cancel(&self, id: u64) {
+        let Some(inner) = self.recording(id) else {
+            return;
+        };
+        let popped = self.stack.borrow_mut().pop();
+        debug_assert!(
+            popped.is_none_or(|f| f.0 == id),
+            "span guards must close LIFO"
+        );
+        self.publish_depth(inner);
+    }
+
+    /// The state closing span `id` touches; none for id 0 or inert.
+    fn recording(&self, id: u64) -> Option<&WallInner> {
+        self.inner.as_deref().filter(|_| id != 0)
+    }
+
+    /// Shrinks the sampled live stack to the open-frame count.
+    fn publish_depth(&self, inner: &WallInner) {
+        let depth = self.stack.borrow().len() as u64;
+        let live = &inner.stacks[self.index];
+        // ord: Release — frames at or above the new depth are dead to
+        // the sampler once it loads this depth.
+        live.depth.store(depth, Ordering::Release);
+    }
+}
+
 // Thread-propagated context: a thread attaches its WallThread once and
 // instrumentation anywhere down the call stack opens spans without
-// plumbing a handle through every signature.
-// ---------------------------------------------------------------------
+// plumbing a handle through every signature. Inactive, none of these
+// touch the thread-local.
 
-#[cfg(feature = "trace")]
-mod tls {
-    use super::real::{Wall, WallThread};
-    use std::cell::RefCell;
+thread_local! {
+    static CURRENT: RefCell<Option<WallThread>> = const { RefCell::new(None) };
+}
 
-    thread_local! {
-        static CURRENT: RefCell<Option<WallThread>> = const { RefCell::new(None) };
+/// Claims slot `index` of `wall` and installs the handle as this
+/// thread's recording context. Returns false (and leaves any existing
+/// context in place) when the slot is already claimed or out of range.
+/// Inactive, does nothing and returns true (so callers need not
+/// branch).
+pub fn attach(wall: &Wall, index: usize) -> bool {
+    if !Wall::ACTIVE {
+        return true;
     }
-
-    /// Claims slot `index` of `wall` and installs the handle as this
-    /// thread's recording context. Returns false (and leaves any
-    /// existing context in place) when the slot is already claimed or
-    /// out of range.
-    pub fn attach(wall: &Wall, index: usize) -> bool {
-        match wall.thread(index) {
-            Some(t) => {
-                CURRENT.with(|c| *c.borrow_mut() = Some(t));
-                true
-            }
-            None => false,
+    match wall.thread(index) {
+        Some(t) => {
+            CURRENT.with(|c| *c.borrow_mut() = Some(t));
+            true
         }
+        None => false,
     }
+}
 
-    /// Drops this thread's recording context (open guards become
-    /// no-ops). The slot stays claimed — like the hub, one producer
-    /// per slot per wall lifetime.
-    pub fn detach() {
+/// Drops this thread's recording context (open guards become no-ops).
+/// The slot stays claimed — like the hub, one producer per slot per
+/// wall lifetime.
+pub fn detach() {
+    if Wall::ACTIVE {
         CURRENT.with(|c| *c.borrow_mut() = None);
     }
-
-    /// The innermost open span id on this thread, 0 when none (or
-    /// unattached). Hand this to [`span_with_parent`] on another
-    /// thread for cross-thread causality.
-    pub fn current_id() -> u64 {
-        CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.current()))
-    }
-
-    /// An RAII span: closes (records) the span when dropped.
-    #[must_use = "a span measures nothing unless held for its extent"]
-    #[derive(Debug)]
-    pub struct ScopedSpan {
-        id: u64,
-    }
-
-    impl ScopedSpan {
-        /// The span id (0 when this thread is unattached).
-        pub fn id(&self) -> u64 {
-            self.id
-        }
-
-        /// Discards the span without recording it.
-        pub fn cancel(mut self) {
-            let id = std::mem::take(&mut self.id);
-            if id != 0 {
-                CURRENT.with(|c| {
-                    if let Some(t) = c.borrow().as_ref() {
-                        t.cancel(id);
-                    }
-                });
-            }
-        }
-    }
-
-    impl Drop for ScopedSpan {
-        fn drop(&mut self) {
-            if self.id != 0 {
-                CURRENT.with(|c| {
-                    if let Some(t) = c.borrow().as_ref() {
-                        t.exit(self.id);
-                    }
-                });
-            }
-        }
-    }
-
-    /// Opens a span of `family` on this thread's attached context,
-    /// parented to the innermost open span. A no-op (id 0) when the
-    /// thread is unattached.
-    pub fn span(family: &'static str) -> ScopedSpan {
-        ScopedSpan {
-            id: CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.enter(family))),
-        }
-    }
-
-    /// As [`span`], with an explicit parent id (0 for a root).
-    pub fn span_with_parent(family: &'static str, parent: u64) -> ScopedSpan {
-        ScopedSpan {
-            id: CURRENT.with(|c| {
-                c.borrow()
-                    .as_ref()
-                    .map_or(0, |t| t.enter_with_parent(family, parent))
-            }),
-        }
-    }
 }
 
-#[cfg(feature = "trace")]
-pub use tls::{attach, current_id, detach, span, span_with_parent, ScopedSpan};
+/// The innermost open span id on this thread, 0 when none (or
+/// unattached, or inactive). Hand this to [`span_with_parent`] on
+/// another thread for cross-thread causality.
+pub fn current_id() -> u64 {
+    if !Wall::ACTIVE {
+        return 0;
+    }
+    CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.current()))
+}
 
-/// No-op RAII span compiled without the `trace` feature.
-#[cfg(not(feature = "trace"))]
+/// An RAII span: closes (records) the span when dropped.
 #[must_use = "a span measures nothing unless held for its extent"]
 #[derive(Debug)]
-pub struct ScopedSpan;
+pub struct ScopedSpan {
+    id: u64,
+}
 
-#[cfg(not(feature = "trace"))]
 impl ScopedSpan {
-    /// Always 0.
-    #[inline(always)]
+    /// The span id (0 when this thread is unattached or inactive).
     pub fn id(&self) -> u64 {
-        0
+        self.id
     }
 
-    /// Does nothing.
-    #[inline(always)]
-    pub fn cancel(self) {}
+    /// Discards the span without recording it.
+    pub fn cancel(mut self) {
+        let id = std::mem::take(&mut self.id);
+        if id != 0 {
+            CURRENT.with(|c| {
+                if let Some(t) = c.borrow().as_ref() {
+                    t.cancel(id);
+                }
+            });
+        }
+    }
 }
 
-/// Does nothing; always true (so callers need not branch).
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn attach(_wall: &Wall, _index: usize) -> bool {
-    true
+impl Drop for ScopedSpan {
+    fn drop(&mut self) {
+        if self.id != 0 {
+            CURRENT.with(|c| {
+                if let Some(t) = c.borrow().as_ref() {
+                    t.exit(self.id);
+                }
+            });
+        }
+    }
 }
 
-/// Does nothing.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn detach() {}
-
-/// Always 0.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn current_id() -> u64 {
-    0
+/// Opens a span of `family` on this thread's attached context,
+/// parented to the innermost open span. A no-op (id 0) when the thread
+/// is unattached or the wall inactive.
+pub fn span(family: &'static str) -> ScopedSpan {
+    if !Wall::ACTIVE {
+        return ScopedSpan { id: 0 };
+    }
+    ScopedSpan {
+        id: CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.enter(family))),
+    }
 }
 
-/// Does nothing; returns the no-op guard.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn span(_family: &'static str) -> ScopedSpan {
-    ScopedSpan
-}
-
-/// Does nothing; returns the no-op guard.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn span_with_parent(_family: &'static str, _parent: u64) -> ScopedSpan {
-    ScopedSpan
+/// As [`span`], with an explicit parent id (0 for a root).
+pub fn span_with_parent(family: &'static str, parent: u64) -> ScopedSpan {
+    if !Wall::ACTIVE {
+        return ScopedSpan { id: 0 };
+    }
+    ScopedSpan {
+        id: CURRENT.with(|c| {
+            c.borrow()
+                .as_ref()
+                .map_or(0, |t| t.enter_with_parent(family, parent))
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -1023,9 +867,6 @@ mod tests {
             assert_eq!(snap.epoch, 0);
             assert_eq!(wall.overhead(), WallOverhead::default());
             assert!(snap.budget_verdict().within);
-            assert_eq!(std::mem::size_of::<Wall>(), 0);
-            assert_eq!(std::mem::size_of::<WallThread>(), 0);
-            assert_eq!(std::mem::size_of::<ScopedSpan>(), 0);
         }
     }
 
