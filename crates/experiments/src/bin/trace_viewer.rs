@@ -27,6 +27,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let instructions = arg_u64(&args, "--instr", 30_000_000);
     let period = arg_u64(&args, "--period", 64 << 10);
+    if period == 0 {
+        eprintln!("--period expects a positive instruction count, got 0");
+        exit(2);
+    }
     let out = arg_value(&args, "--out").unwrap_or_else(|| "trace.json".to_string());
     let circular = arg_value(&args, "--circular");
     let bench = arg_value(&args, "--bench");
