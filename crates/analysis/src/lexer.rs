@@ -705,7 +705,10 @@ mod tests {
         assert!(in_regions(src.find("i += 1").expect("present"), &regions));
         assert!(in_regions(src.find("break").expect("present"), &regions));
         assert!(!in_regions(src.find("fn f").expect("present"), &regions));
-        assert!(!in_regions(src.find("let mut i").expect("present"), &regions));
+        assert!(!in_regions(
+            src.find("let mut i").expect("present"),
+            &regions
+        ));
     }
 
     #[test]
